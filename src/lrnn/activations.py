@@ -87,7 +87,10 @@ def eval_agg(family: str, inputs) -> ActivationEval:
     _check(family, inputs)
     if family == AVG_SIGMOID:
         m = len(inputs)
-        return ActivationEval(math.fsum(inputs) / m, [1.0 / m] * m, 0.0, None)
+        # Dividing the exact sum can round past the inputs' range (three
+        # equal inputs may average above themselves); clamp it back.
+        mean = min(max(math.fsum(inputs) / m, min(inputs)), max(inputs))
+        return ActivationEval(mean, [1.0 / m] * m, 0.0, None)
     return _max_eval(inputs)
 
 

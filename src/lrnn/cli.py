@@ -10,13 +10,15 @@ Subcommands:
 
 Exit codes: 0 success, 2 malformed input or bad configuration,
 3 recursive template, 4 grounding capacity exceeded.  The environment
-variable LRNN_CAPACITY overrides the default ground-atom budget.
+variable LRNN_CAPACITY overrides the default grounding budget (model
+atoms plus rule instances).
 All outputs are deterministic functions of the inputs and --seed.
 """
 
 import argparse
 import csv
 import io
+import math
 import os
 import random
 import sys
@@ -55,9 +57,12 @@ def parse_params(text: str, base: ParameterStore, source: str = "params") -> Par
         if pid not in params:
             raise ParseError(f"unknown parameter id {pid!r}", source, lineno, 1)
         try:
-            params[pid] = float(parts[3])
+            value = float(parts[3])
         except ValueError:
             raise ParseError(f"malformed decimal {parts[3]!r}", source, lineno, 1) from None
+        if not math.isfinite(value):
+            raise ParseError(f"parameter {pid!r} is not finite: {parts[3]!r}", source, lineno, 1)
+        params[pid] = value
     return params
 
 

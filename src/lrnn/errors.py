@@ -33,12 +33,13 @@ class RecursiveTemplateError(LrnnError):
 
 
 class CapacityError(LrnnError):
-    """Grounding exceeded the configured ground-atom budget."""
+    """Grounding exceeded the configured budget on model atoms plus rule instances."""
 
     def __init__(self, count: int, cap: int):
         self.count = count
         self.cap = cap
-        super().__init__(f"grounding produced more than {cap} ground atoms (reached {count})")
+        super().__init__(f"grounding exceeded its budget of {cap} model atoms plus rule "
+                         f"instances (reached {count})")
 
 
 class EmptyInputError(LrnnError):

@@ -8,15 +8,32 @@ against the finished model, every substitution that makes a rule body
 true; those are exactly the ground rules that stay active in the least
 model.
 
+Joins are indexed.  Each body atom has key positions: the arguments
+that are a constant or a variable bound by an earlier body atom of the
+same rule.  A body atom with key positions is matched by one lookup in
+a hash index of its relation on those positions; a body atom without
+any (such as a first body atom that holds no constant) scans its
+relation.  An index is built lazily, in one pass over the relation, and
+cached under (signature, key positions, delta or full relation).  A
+cache lives as long as the relations it indexes stay unchanged: one
+semi-naive round in the fixpoint, where relations grow only at the end
+of a round, and the whole enumeration in `ground`.  Each bucket keeps
+the relation's iteration order, so a lookup yields the same rows in the
+same order as the scan it replaces.
+
 Variables occurring only in a clause head (including facts written with
 variables) range over the full constant universe of template + example.
+
+One budget, `capacity`, bounds the grounding work: the model may hold
+at most that many atoms, and model atoms plus distinct rule instances
+may not exceed it either.
 """
 
 import itertools
 from dataclasses import dataclass
 
 from .errors import CapacityError
-from .logic import Atom, Constant, Template, Variable, apply, ground_atom_key
+from .logic import Atom, Constant, Template, Variable, apply
 
 DEFAULT_CAPACITY = 10**7
 
@@ -28,9 +45,6 @@ class HerbrandModel:
 
     def __contains__(self, atom: Atom) -> bool:
         return atom in self.atoms
-
-    def sorted_atoms(self) -> list:
-        return sorted(self.atoms, key=ground_atom_key)
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,21 +84,14 @@ def _compile_pattern(atom: Atom) -> tuple:
     return tuple(("c", t.name) if isinstance(t, Constant) else ("v", t.name) for t in atom.args)
 
 
-def _match(pattern, row, subst) -> dict | None:
-    """Extend subst so pattern covers row, or None on clash."""
-    out = subst
-    for (kind, name), value in zip(pattern, row):
-        if kind == "c":
-            if name != value:
-                return None
-        else:
-            bound = out.get(name)
-            if bound is None:
-                if out is subst:
-                    out = dict(subst)
-                out[name] = value
-            elif bound != value:
-                return None
+def _bind(free, row, subst) -> dict | None:
+    """Copy subst and bind the free (position, variable) slots to row,
+    or None when a variable repeated among them meets two values."""
+    out = dict(subst)
+    for i, name in free:
+        value = row[i]
+        if out.setdefault(name, value) != value:
+            return None
     return out
 
 
@@ -96,24 +103,54 @@ class _Rule:
         self.ordinal = ordinal
         self.head_sig = clause.head.signature
         self.head_pat = _compile_pattern(clause.head)
-        self.body = [(b.signature, _compile_pattern(b)) for b in clause.body]
+        # Per body atom: (signature, key positions, key pattern, free
+        # (position, variable) slots).  Constants are always key positions.
+        self.body = []
+        bound = set()
+        for b in clause.body:
+            pattern = _compile_pattern(b)
+            key_pos = tuple(i for i, (kind, name) in enumerate(pattern)
+                            if kind == "c" or name in bound)
+            free = tuple((i, name) for i, (_, name) in enumerate(pattern) if i not in key_pos)
+            self.body.append((b.signature, key_pos, tuple(pattern[i] for i in key_pos), free))
+            bound.update(name for _, name in free)
         self.head_only = sorted(v.name for v in clause.head_only_variables())
 
 
-def _join(rule: _Rule, relations, delta_pos: int | None, delta) -> list:
+def _index(indexes: dict, sig, key_pos: tuple, in_delta: bool, source) -> dict:
+    """Rows of source bucketed by their values at key_pos, cached."""
+    cache_key = (sig, key_pos, in_delta)
+    index = indexes.get(cache_key)
+    if index is None:
+        index = indexes[cache_key] = {}
+        for row in source:
+            index.setdefault(tuple([row[i] for i in key_pos]), []).append(row)
+    return index
+
+
+def _join(rule: _Rule, relations, delta_pos: int | None, delta, indexes: dict) -> list:
     """All substitutions satisfying the body; position delta_pos (if any)
-    must match the delta relation instead of the full one."""
+    must match the delta relation instead of the full one.  indexes is
+    the cache of relation indexes, valid while relations and delta stay
+    unchanged."""
     substs = [{}]
-    for pos, (sig, pattern) in enumerate(rule.body):
-        source = delta.get(sig, ()) if pos == delta_pos else relations.get(sig, ())
+    for pos, (sig, key_pos, key_pat, free) in enumerate(rule.body):
+        in_delta = pos == delta_pos
+        source = (delta if in_delta else relations).get(sig, ())
         if not source:
             return []
+        index = _index(indexes, sig, key_pos, in_delta, source) if key_pos else None
         extended = []
         for subst in substs:
-            for row in source:
-                got = _match(pattern, row, subst)
+            if index is None:
+                rows = source
+            else:
+                rows = index.get(tuple([subst[name] if kind == "v" else name
+                                        for kind, name in key_pat]), ())
+            for row in rows:
+                got = _bind(free, row, subst)
                 if got is not None:
-                    extended.append(got if got is not subst else dict(subst))
+                    extended.append(got)
         if not extended:
             return []
         substs = extended
@@ -176,12 +213,12 @@ def least_herbrand_model(template: Template, example_facts=(), capacity: int = D
         raise CapacityError(count, capacity)
 
     while delta:
-        fresh = {}
+        fresh, indexes = {}, {}
         for rule in rules:
             for pos in range(len(rule.body)):
                 if rule.body[pos][0] not in delta:
                     continue
-                for subst in _join(rule, relations, pos, delta):
+                for subst in _join(rule, relations, pos, delta, indexes):
                     for full in _head_expansions(rule, subst, universe):
                         row = _instantiate_head(rule, full)
                         rel = relations.get(rule.head_sig)
@@ -214,19 +251,22 @@ def ground(template: Template, example_facts=(), capacity: int = DEFAULT_CAPACIT
     for atom in model.atoms:
         relations.setdefault(atom.signature, set()).add(tuple(t.name for t in atom.args))
 
-    instances = []
+    instances, indexes, count = [], {}, len(model.atoms)
     for ordinal, clause in enumerate(template.clauses):
         if clause.is_fact:
             continue
         rule = _Rule(clause, ordinal)
         seen = set()
         found = []
-        for subst in _join(rule, relations, None, {}):
+        for subst in _join(rule, relations, None, {}, indexes):
             for full in _head_expansions(rule, subst, model.universe):
                 theta = tuple(sorted(full.items()))
                 if theta in seen:
                     continue
                 seen.add(theta)
+                count += 1
+                if count > capacity:
+                    raise CapacityError(count, capacity)
                 bind = {Variable(v): Constant(c) for v, c in full.items()}
                 head = apply(bind, clause.head)
                 body = tuple(apply(bind, b) for b in clause.body)

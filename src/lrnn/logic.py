@@ -19,6 +19,7 @@ ordinals, so parameter ids survive re-parsing the same file.  A weight
 written "?" marks the clause parameter as learnable.
 """
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -167,9 +168,6 @@ class ParameterStore:
 
     def copy(self) -> "ParameterStore":
         return ParameterStore(self.values, self.learnable, self.kinds)
-
-    def pids_of_kind(self, kind: str) -> list:
-        return [pid for pid, k in self.kinds.items() if k == kind]
 
 
 @dataclass
@@ -382,8 +380,11 @@ class _Scanner:
         m = re.compile(r"-?\d+(\.\d+)?([eE][+-]?\d+)?").match(self.text, self.i)
         if not m:
             self.error("malformed number")
+        value = float(m.group(0))
+        if not math.isfinite(value):
+            self.error(f"number {m.group(0)} is out of range", line, col)
         self._advance(m.end() - self.i)
-        return ("number", float(m.group(0)), line, col)
+        return ("number", value, line, col)
 
     def _quoted(self, line, col):
         chars = []

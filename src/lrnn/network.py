@@ -29,7 +29,6 @@ from .grounding import ConstRef, Grounding, ParamRef
 from .logic import Atom, Template, check_nonrecursive, ground_atom_key
 
 FACT, ATOM, RULE, AGG = 0, 1, 2, 3
-KIND_NAMES = ("fact", "atom", "rule", "agg")
 
 _UNIT = ConstRef(1.0)
 

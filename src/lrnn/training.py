@@ -103,15 +103,15 @@ class TrainConfig:
     train_offsets: bool = True
 
     def __post_init__(self):
-        if self.learning_rate < 0.0:
-            raise ValueError("learning_rate must be >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
+            raise ValueError("learning_rate must be a finite number >= 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
         lo, hi = self.init_range
-        if not lo < hi:
-            raise ValueError("init_range must be an open interval (lo < hi)")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError("init_range must be a finite open interval (lo < hi)")
         if self.cost_kind not in COST_KINDS:
             raise ValueError(f"unknown cost kind {self.cost_kind!r}")
 

@@ -153,6 +153,12 @@ def test_unit_interval_closure(xs):
     assert min(xs) <= eval_agg("as", xs).value <= max(xs)
 
 
+@pytest.mark.parametrize("x", [0.42214119898999913, 0.20387175626567872])
+def test_mean_of_equal_inputs_is_the_input(x):
+    # fsum(3 * [x]) / 3 rounds above x for these values.
+    assert eval_agg("as", [x] * 3).value == x
+
+
 @given(st.lists(_floats, min_size=2, max_size=5), st.randoms())
 def test_value_is_permutation_invariant(xs, rnd):
     shuffled = list(xs)

@@ -173,6 +173,22 @@ def test_train_degenerate_init_range_exits_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_train_non_finite_learning_rate_exits_2(tmp_path, capsys, lr):
+    template, examples, queries = _bond_files(tmp_path, 4)
+    rc = main(_train_args(tmp_path, template, examples, queries) + ["--lr", lr])
+    assert rc == 2
+    assert "learning_rate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bounds", [("0.0", "inf"), ("nan", "1.0")])
+def test_train_non_finite_init_range_exits_2(tmp_path, capsys, bounds):
+    template, examples, queries = _bond_files(tmp_path, 4)
+    rc = main(_train_args(tmp_path, template, examples, queries) + ["--init-range", *bounds])
+    assert rc == 2
+    assert "init_range" in capsys.readouterr().err
+
+
 def test_train_freeze_offsets_keeps_initial_offsets(tmp_path):
     template, examples, queries = _bond_files(tmp_path, 6)
     rc = main(_train_args(tmp_path, template, examples, queries, freeze_offsets=True))
@@ -217,6 +233,19 @@ def test_params_malformed_line_rejected():
         parse_params("param template.lrnn:0 = oops\n", template.params)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e400"])
+def test_params_non_finite_rejected(tmp_path, value):
+    params = tmp_path / "params.txt"
+    params.write_text(f"param template.lrnn:0 = {value}\n", encoding="utf-8")
+    with pytest.raises(ParseError):
+        parse_params(params.read_text(encoding="utf-8"), _cli_template("family").params)
+    rc = main(["predict", "--template", str(FAMILY / "template.lrnn"),
+               "--examples", str(FAMILY / "examples.lrnn"),
+               "--queries", str(FAMILY / "queries.lrnn"), "--params", str(params),
+               "--out", str(tmp_path / "scores.csv")])
+    assert rc == 2
+
+
 # ---------------------------------------------------------------------------
 # predict
 
@@ -257,6 +286,37 @@ def test_predict_unknown_example_exits_2(tmp_path):
                "--examples", str(FAMILY / "examples.lrnn"),
                "--queries", str(queries)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("name, text", [
+    ("template", "1e400 :: female(alice).\n"),
+    ("examples", "#example e1\n1e400 :: parent(ann,alice).\n"),
+    ("queries", "#example e1\n-1e400 :: mother(bob,alice).\n"),
+], ids=["template", "examples", "queries"])
+def test_non_finite_number_in_input_exits_2(tmp_path, capsys, name, text):
+    files = {n: str(FAMILY / f"{n}.lrnn") for n in ("template", "examples", "queries")}
+    files[name] = str(tmp_path / f"{name}.lrnn")
+    (tmp_path / f"{name}.lrnn").write_text(text, encoding="utf-8")
+    rc = main(["predict", "--template", files["template"], "--examples", files["examples"],
+               "--queries", files["queries"], "--out", str(tmp_path / "scores.csv")])
+    assert rc == 2
+    assert "out of range" in capsys.readouterr().err
+
+
+def test_capacity_counts_rule_instances_exits_4(tmp_path, capsys, monkeypatch):
+    # 20 nodes, every ordered pair an edge: 400 e + 400 hop2 atoms, 8,000 instances.
+    nodes = [f"n{i}" for i in range(20)]
+    template = tmp_path / "hop.lrnn"
+    template.write_text("1.0 :: hop2(X,Z) :- e(X,Y), e(Y,Z).\n", encoding="utf-8")
+    examples = tmp_path / "graph.lrnn"
+    examples.write_text("#example g\n" + "".join(f"1.0 :: e({a},{b}).\n"
+                                                  for a in nodes for b in nodes),
+                        encoding="utf-8")
+    monkeypatch.setenv("LRNN_CAPACITY", "900")
+    rc = main(["ground", "--template", str(template), "--examples", str(examples),
+               "--out", str(tmp_path / "o")])
+    assert rc == 4
+    assert "model atoms plus rule instances" in capsys.readouterr().err
 
 
 def test_predict_matches_library_scores(tmp_path):

@@ -149,18 +149,56 @@ def test_instances_sorted_by_clause_then_theta():
 
 
 def test_model_matches_naive_fixpoint():
-    for seed in range(30):
+    for seed in range(300):
         template, facts = random_nonrecursive_program(random.Random(seed))
         model = least_herbrand_model(template, facts)
         assert model.atoms == naive_model(template, facts), f"seed {seed}"
 
 
 def test_instances_match_naive_enumeration():
-    for seed in range(30):
+    for seed in range(300):
         template, facts = random_nonrecursive_program(random.Random(seed))
         g = ground(template, facts)
         got = {(i.clause_id, i.theta) for i in g.instances}
         assert got == naive_instances(template, facts, g.model.atoms), f"seed {seed}"
+
+
+# One program per shape the join indexes on; each is checked against the
+# oracle, and later rules read relations derived in earlier rounds.
+_GRAPH = ("#example g\n"
+          "1.0 :: e(a,a). 1.0 :: e(a,b). 1.0 :: e(b,c). 1.0 :: e(c,a). 1.0 :: e(b,b).\n"
+          "1.0 :: e(c,b). 1.0 :: e(c,d). 1.0 :: n(a). 1.0 :: n(b). 1.0 :: flag.\n"
+          "1.0 :: f(a,b,b). 1.0 :: f(a,b,c). 1.0 :: f(b,c,c). 1.0 :: f(d,a,a).\n")
+SHAPES = {
+    "constant_in_body": "1.0 :: q(X) :- e(X,a).\n1.0 :: r(X,Y) :- e(a,X), f(X,c,Y).\n"
+                        "1.0 :: s(Y) :- q(X), e(X,b), e(b,Y).",
+    "repeated_variable": "1.0 :: loop(X) :- e(X,X).\n1.0 :: q(Y,X) :- n(Y), f(Y,X,X).\n"
+                         "1.0 :: s(X,Y) :- loop(X), f(X,Y,Y), e(Y,Y).",
+    "fully_bound_atom": "1.0 :: sym(X,Y) :- e(X,Y), e(Y,X).\n"
+                        "1.0 :: tri(X,Y,Z) :- e(X,Y), e(Y,Z), e(Z,X).\n"
+                        "1.0 :: u(X) :- tri(X,Y,Z), sym(X,Y), n(X).",
+    "head_only_variable": "1.0 :: h(X,W) :- e(X,Y), n(Y).\n1.0 :: k(W) :- flag.\n"
+                          "1.0 :: m(X,V) :- h(X,X), k(X).",
+    # q grows in two rounds, so in the third one body atom of `both` reads
+    # q's delta and the other, with the same key positions, all of q.
+    "delta_and_full_index": "1.0 :: q(X) :- n(X).\n1.0 :: m(X) :- e(X,d).\n"
+                            "1.0 :: q(X) :- m(X).\n1.0 :: both(X,Y) :- e(X,Y), q(X), q(Y).",
+    "zero_ary_body_atom": "1.0 :: q(X) :- flag, n(X).\n1.0 :: r(X) :- n(X), flag.\n"
+                          "1.0 :: z :- flag.\n1.0 :: w(X) :- z, q(X), e(X,X).",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_join_shapes_match_oracle(shape):
+    template = parse_template(SHAPES[shape], shape)
+    (example,) = parse_examples(_GRAPH)
+    g = ground(template, example.facts)
+    assert g.model.atoms == naive_model(template, example.facts)
+    got = [(i.clause_id, i.theta) for i in g.instances]
+    assert len(got) == len(set(got))
+    assert set(got) == naive_instances(template, example.facts, g.model.atoms)
+    for clause in template.rules():
+        assert any(cid == clause.clause_id for cid, _ in got), clause
 
 
 def test_adding_a_fact_is_monotone():
@@ -213,3 +251,17 @@ def test_capacity_generous_enough_passes():
     t = parse_template("? :: f(X,Y).\n1.0 :: p(a).\n1.0 :: p(b).", "src")
     model = least_herbrand_model(t, capacity=6)
     assert len(model.atoms) == 6
+
+
+def test_capacity_counts_model_atoms_plus_instances():
+    # Complete 20-node graph: 400 e + 400 hop2 atoms and 20^3 = 8,000 instances.
+    t = parse_template("1.0 :: hop2(X,Z) :- e(X,Y), e(Y,Z).", "src")
+    nodes = [f"n{i}" for i in range(20)]
+    facts = tuple((1.0, _atom("e", a, b)) for a in nodes for b in nodes)
+    assert len(least_herbrand_model(t, facts, capacity=900).atoms) == 800
+    with pytest.raises(CapacityError) as exc:
+        ground(t, facts, capacity=900)
+    assert (exc.value.cap, exc.value.count) == (900, 901)
+    assert len(ground(t, facts, capacity=8800).instances) == 8000
+    with pytest.raises(CapacityError):
+        ground(t, facts, capacity=8799)

@@ -52,6 +52,16 @@ def test_parse_weight_formats():
     assert [c.weight for c in t.clauses] == [-0.25, 3.0, 150.0]
 
 
+@pytest.mark.parametrize("parse, text", [
+    (parse_template, "1e400 :: p(a)."),
+    (parse_examples, "#example e\n-1e400 :: p(a)."),
+    (parse_queries, "#example e\n1e400 :: p(a)."),
+], ids=["template", "examples", "queries"])
+def test_out_of_range_number_rejected(parse, text):
+    with pytest.raises(ParseError, match="out of range"):
+        parse(text, "src")
+
+
 def test_parse_zero_arity():
     t = parse_template("? :: flies :- bird.", "src")
     (c,) = t.clauses

@@ -337,6 +337,11 @@ def test_partial_restart_failure_is_skipped(monkeypatch):
     dict(init_range=(1.0, 1.0)),
     dict(init_range=(2.0, -2.0)),
     dict(cost_kind="mse"),
+    dict(learning_rate=math.nan),
+    dict(learning_rate=math.inf),
+    dict(init_range=(-math.inf, 0.0)),
+    dict(init_range=(0.0, math.inf)),
+    dict(init_range=(math.nan, 1.0)),
 ])
 def test_config_validation(overrides):
     with pytest.raises(ValueError):
