@@ -18,7 +18,8 @@ from .logic import (Atom, Constant, Example, ParameterStore, QueryRow, Template,
                     render_examples, render_template)
 from .network import GroundNetwork, Neuron, ValueMap, build, export_dot, forward
 from .training import (CompiledTask, TrainConfig, TrainingTask, TrainReport, backward,
-                       cost, derive_seed, predict, sgd_epoch, train, zero_one_error)
+                       compile_networks, cost, crossvalidate, derive_seed, ground_networks,
+                       make_folds, predict, sgd_epoch, train, zero_one_error)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

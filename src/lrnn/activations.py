@@ -28,6 +28,8 @@ MAX_SIGMOID = "ms"
 AVG_SIGMOID = "as"
 FAMILIES = (GODEL, MAX_SIGMOID, AVG_SIGMOID)
 
+# The values the sigmoid families were calibrated with; parameter stores
+# start their offsets here.
 CONJ_OFFSET_INIT = 1.0
 DISJ_OFFSET_INIT = 0.0
 

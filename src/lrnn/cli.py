@@ -20,18 +20,15 @@ import csv
 import io
 import math
 import os
-import random
 import sys
 from pathlib import Path
 
-from .errors import (AllRestartsFailedError, CapacityError, LrnnError, ParseError,
-                     RecursiveTemplateError)
-from .grounding import DEFAULT_CAPACITY, ground
-from .logic import (ParameterStore, QueryRow, Template, parse_examples, parse_queries,
-                    parse_template)
-from .network import build, export_dot, forward
-from .training import (CompiledTask, TrainConfig, TrainingTask, derive_seed, train,
-                       zero_one_error)
+from .errors import CapacityError, LrnnError, ParseError, RecursiveTemplateError
+from .grounding import DEFAULT_CAPACITY
+from .logic import ParameterStore, parse_examples, parse_queries, parse_template
+from .network import export_dot
+from .training import (CompiledTask, TrainConfig, TrainingTask, crossvalidate, ground_networks,
+                       train, zero_one_error)
 
 
 # ---------------------------------------------------------------------------
@@ -67,79 +64,6 @@ def parse_params(text: str, base: ParameterStore, source: str = "params") -> Par
 
 
 # ---------------------------------------------------------------------------
-# Cross-validation
-
-
-def make_folds(example_ids, k: int, seed: int) -> dict:
-    """Seeded shuffle + round robin: fold sizes differ by at most one."""
-    ids = sorted(example_ids)
-    if k < 2:
-        raise ValueError("xval needs at least 2 folds")
-    if len(ids) < k:
-        raise ValueError("more folds than examples")
-    rng = random.Random(derive_seed(seed, "folds"))
-    rng.shuffle(ids)
-    return {example_id: i % k for i, example_id in enumerate(ids)}
-
-
-def crossvalidate(template: Template, examples, queries, k: int, lr_grid, restarts_grid,
-                  epochs: int, seed: int, family: str | None = None,
-                  cost_kind: str = "squared_sigmoid", capacity: int = DEFAULT_CAPACITY,
-                  target_reader=None) -> list:
-    """Per-fold held-out 0/1 errors at threshold 0.5.
-
-    Inner selection trains each (learning rate, restarts) grid point on
-    the training folds and picks the lowest training risk (0/1 error,
-    ties broken by final cost, then grid order).  Held-out targets are
-    read only for the final fold evaluation; all target reads go through
-    `target_reader(row, fold, purpose)` so tests can verify that.
-    """
-    reader = target_reader or (lambda row, fold, purpose: row.target)
-    folds = make_folds([ex.example_id for ex in examples], k, seed)
-    grid = [(lr, rs) for lr in lr_grid for rs in restarts_grid]
-    results = []
-    for fold in range(k):
-        train_examples = [ex for ex in examples if folds[ex.example_id] != fold]
-        train_rows = [q for q in queries if folds[q.example_id] != fold]
-        held_rows = [q for q in queries if folds[q.example_id] == fold]
-        best = None
-        for gi, (lr, restarts) in enumerate(grid):
-            cfg = TrainConfig(learning_rate=lr, epochs=epochs, restarts=restarts,
-                              seed=derive_seed(seed, "fold", fold, "cfg", gi),
-                              cost_kind=cost_kind)
-            rows = [QueryRow(q.example_id, q.atom, reader(q, fold, "train")) for q in train_rows]
-            task = TrainingTask(template, train_examples, rows, cfg, family, capacity)
-            compiled = CompiledTask(task)
-            try:
-                params, _ = train(task, compiled)
-            except AllRestartsFailedError:
-                continue
-            pairs = [(score, reader(q, fold, "risk"))
-                     for (q, score, _missing) in compiled.scores(params)]
-            key = (zero_one_error(pairs), compiled.total_cost(params), gi)
-            if best is None or key < best[0]:
-                best = (key, params)
-        if best is None:
-            raise AllRestartsFailedError(f"every grid point diverged on fold {fold}")
-        params = best[1]
-        held_by_example = {}
-        for q in held_rows:
-            held_by_example.setdefault(q.example_id, []).append(q)
-        pairs = []
-        for ex in examples:
-            rows = held_by_example.get(ex.example_id)
-            if not rows:
-                continue
-            net = build(ground(template, ex.facts, capacity), template, ex.example_id)
-            vm = forward(net, params, family or template.family)
-            for q in rows:
-                score, _ = vm.output(net, q.atom)
-                pairs.append((score, reader(q, fold, "test")))
-        results.append((fold, zero_one_error(pairs)))
-    return results
-
-
-# ---------------------------------------------------------------------------
 # Commands
 
 
@@ -163,8 +87,8 @@ def _capacity() -> int:
     return cap
 
 
-def _load_inputs(args, family=None):
-    template = parse_template(_read(args.template), Path(args.template).name, family or "ms")
+def _load_inputs(args):
+    template = parse_template(_read(args.template), Path(args.template).name)
     examples = parse_examples(_read(args.examples), Path(args.examples).name)
     return template, examples
 
@@ -178,13 +102,10 @@ def _write_csv(path, header, rows):
 
 def cmd_ground(args) -> int:
     template, examples = _load_inputs(args)
-    capacity = _capacity()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     instance_rows, stat_rows = [], []
-    for ex in examples:
-        grounding = ground(template, ex.facts, capacity)
-        net = build(grounding, template, ex.example_id)
+    for ex, grounding, net in ground_networks(template, examples, _capacity()):
         for inst in grounding.instances:
             theta = " ".join(f"{v}={c}" for v, c in inst.theta)
             body = ", ".join(str(b) for b in inst.body)
@@ -205,7 +126,7 @@ def _train_config(args) -> TrainConfig:
 
 
 def cmd_train(args) -> int:
-    template, examples = _load_inputs(args, args.family)
+    template, examples = _load_inputs(args)
     queries = parse_queries(_read(args.queries), Path(args.queries).name)
     task = TrainingTask(template, examples, queries, _train_config(args),
                         args.family, _capacity())
@@ -222,28 +143,16 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    template, examples = _load_inputs(args, args.family)
+    template, examples = _load_inputs(args)
     queries = parse_queries(_read(args.queries), Path(args.queries).name)
     params = template.params
     if args.params:
         params = parse_params(_read(args.params), params, Path(args.params).name)
-    capacity = _capacity()
-    by_example = {}
-    for q in queries:
-        by_example.setdefault(q.example_id, []).append(q)
-    rows = []
-    for ex in examples:
-        wanted = by_example.pop(ex.example_id, None)
-        if not wanted:
-            continue
-        net = build(ground(template, ex.facts, capacity), template, ex.example_id)
-        vm = forward(net, params, args.family)
-        for q in wanted:
-            score, missing = vm.output(net, q.atom)
-            rows.append([q.example_id, str(q.atom), repr(score), "true" if missing else "false"])
-    if by_example:
-        missing_id = sorted(by_example)[0]
-        raise ParseError(f"queries reference unknown example {missing_id!r}", args.queries)
+    wanted = {q.example_id for q in queries}
+    task = TrainingTask(template, [ex for ex in examples if ex.example_id in wanted], queries,
+                        family=args.family, capacity=_capacity())
+    rows = [[q.example_id, str(q.atom), repr(score), "true" if missing else "false"]
+            for q, score, missing in CompiledTask(task).scores(params)]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["example_id", "atom", "score", "missing"])
@@ -256,7 +165,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_xval(args) -> int:
-    template, examples = _load_inputs(args, args.family)
+    template, examples = _load_inputs(args)
     queries = parse_queries(_read(args.queries), Path(args.queries).name)
     results = crossvalidate(template, examples, queries, args.folds, args.lr_grid,
                             args.restarts_grid, args.epochs, args.seed, args.family,
@@ -270,11 +179,9 @@ def cmd_xval(args) -> int:
 
 def cmd_export_dot(args) -> int:
     template, examples = _load_inputs(args)
-    capacity = _capacity()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for ex in examples:
-        net = build(ground(template, ex.facts, capacity), template, ex.example_id)
+    for ex, _, net in ground_networks(template, examples, _capacity()):
         (out / f"{ex.example_id}.dot").write_text(export_dot(net), encoding="utf-8")
     return 0
 

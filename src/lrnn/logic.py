@@ -23,14 +23,12 @@ import math
 import re
 from dataclasses import dataclass, field
 
+from .activations import CONJ_OFFSET_INIT, DISJ_OFFSET_INIT
 from .errors import ParseError, RecursiveTemplateError
 
 # Initial values: learnable clause weights are placeholders until a
-# trainer draws real initials; offsets default to the values the
-# sigmoid families were calibrated with (conjunction 1, disjunction 0).
+# trainer draws real initials; offsets start at the activations' defaults.
 LEARNABLE_WEIGHT_INIT = 0.0
-CONJ_OFFSET_INIT = 1.0
-DISJ_OFFSET_INIT = 0.0
 
 KIND_WEIGHT = "weight"
 KIND_CONJ = "conj"

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from .activations import AVG_SIGMOID, FAMILIES, MAX_SIGMOID, sigmoid
 from .errors import AllRestartsFailedError, DivergenceError
 from .grounding import DEFAULT_CAPACITY, ParamRef, ground
-from .logic import KIND_WEIGHT, ParameterStore, Template
+from .logic import KIND_WEIGHT, ParameterStore, QueryRow, Template
 from .network import ATOM, FACT, GroundNetwork, ValueMap, build, forward
 
 SQUARED_SIGMOID = "squared_sigmoid"
@@ -99,7 +99,6 @@ class TrainConfig:
     seed: int = 0
     init_range: tuple = (-1.0, 1.0)
     cost_kind: str = SQUARED_SIGMOID
-    shuffle: bool = True
     train_offsets: bool = True
 
     def __post_init__(self):
@@ -155,15 +154,35 @@ class TrainReport:
         return "".join(line + "\n" for line in lines)
 
 
-class CompiledTask:
-    """Groundings and networks built once; reused across epochs/restarts."""
+def ground_networks(template: Template, examples, capacity: int = DEFAULT_CAPACITY):
+    """Yield (example, grounding, network) for each example, in order.
 
-    def __init__(self, task: TrainingTask):
+    An example's network depends only on the template and its facts, so
+    every caller that needs networks compiles them here, once.
+    """
+    for ex in examples:
+        grounding = ground(template, ex.facts, capacity)
+        yield ex, grounding, build(grounding, template, ex.example_id)
+
+
+def compile_networks(template: Template, examples, capacity: int = DEFAULT_CAPACITY) -> dict:
+    """Example id -> ground network."""
+    return {ex.example_id: net for ex, _, net in ground_networks(template, examples, capacity)}
+
+
+class CompiledTask:
+    """One network per example, reused across epochs and restarts.
+
+    `nets` (example id -> network, as from `compile_networks`) lets tasks
+    over the same examples share networks; without it the task's
+    examples are grounded here.
+    """
+
+    def __init__(self, task: TrainingTask, nets: dict | None = None):
         self.task = task
-        self.nets = []
-        for ex in task.examples:
-            grounding = ground(task.template, ex.facts, task.capacity)
-            self.nets.append(build(grounding, task.template, ex.example_id))
+        if nets is None:
+            nets = compile_networks(task.template, task.examples, task.capacity)
+        self.nets = [nets[ex.example_id] for ex in task.examples]
         by_example = {ex.example_id: [] for ex in task.examples}
         for q in task.queries:
             by_example[q.example_id].append(q)
@@ -186,13 +205,8 @@ class CompiledTask:
 
     def total_cost(self, params) -> float:
         total = 0.0
-        for net, queries in zip(self.nets, self.queries):
-            if not queries:
-                continue
-            vm = forward(net, params, self.task.family)
-            for q in queries:
-                y, _ = vm.output(net, q.atom)
-                total += cost(y, q.target, self.task.config.cost_kind)[0]
+        for q, y, _missing in self.scores(params):
+            total += cost(y, q.target, self.task.config.cost_kind)[0]
         return total
 
     def scores(self, params) -> list:
@@ -214,8 +228,7 @@ def sgd_epoch(compiled: CompiledTask, params, learnable, rng, epoch: int = 0) ->
     task = compiled.task
     cfg = task.config
     order = list(range(len(compiled.nets)))
-    if cfg.shuffle:
-        rng.shuffle(order)
+    rng.shuffle(order)
     lr = cfg.learning_rate
     for idx in order:
         queries = compiled.queries[idx]
@@ -273,10 +286,8 @@ def train(task: TrainingTask, compiled: CompiledTask | None = None) -> tuple:
 def predict(template: Template, params, example, query_atom, family: str | None = None,
             capacity: int = DEFAULT_CAPACITY) -> tuple:
     """(score, missing) of one ground query atom for one example."""
-    grounding = ground(template, example.facts, capacity)
-    net = build(grounding, template, example.example_id)
-    vm = forward(net, params, family or template.family)
-    return vm.output(net, query_atom)
+    net = compile_networks(template, [example], capacity)[example.example_id]
+    return forward(net, params, family or template.family).output(net, query_atom)
 
 
 def zero_one_error(pairs) -> float:
@@ -286,3 +297,70 @@ def zero_one_error(pairs) -> float:
         return 0.0
     wrong = sum(1 for score, target in pairs if (score > 0.5) != (target >= 0.5))
     return wrong / len(pairs)
+
+
+def make_folds(example_ids, k: int, seed: int) -> dict:
+    """Seeded shuffle + round robin: fold sizes differ by at most one."""
+    ids = sorted(example_ids)
+    if k < 2:
+        raise ValueError("xval needs at least 2 folds")
+    if len(ids) < k:
+        raise ValueError("more folds than examples")
+    rng = random.Random(derive_seed(seed, "folds"))
+    rng.shuffle(ids)
+    return {example_id: i % k for i, example_id in enumerate(ids)}
+
+
+def crossvalidate(template: Template, examples, queries, k: int, lr_grid, restarts_grid,
+                  epochs: int, seed: int, family: str | None = None,
+                  cost_kind: str = SQUARED_SIGMOID, capacity: int = DEFAULT_CAPACITY,
+                  target_reader=None) -> list:
+    """Per-fold held-out 0/1 errors at threshold 0.5.
+
+    Inner selection trains each (learning rate, restarts) grid point on
+    the training folds and picks the lowest training risk (0/1 error,
+    ties broken by final cost, then grid order).  Held-out targets are
+    read only for the final fold evaluation; all target reads go through
+    `target_reader(row, fold, purpose)` so tests can verify that.  Each
+    example is grounded once; every fold and grid point reuses its network.
+    """
+    reader = target_reader or (lambda row, fold, purpose: row.target)
+    folds = make_folds([ex.example_id for ex in examples], k, seed)
+    for name, values in (("lr_grid", lr_grid), ("restarts_grid", restarts_grid)):
+        if not values:
+            raise ValueError(f"xval grid {name} is empty")
+    for q in queries:
+        if q.example_id not in folds:
+            raise ValueError(f"query references unknown example {q.example_id!r}")
+    nets = compile_networks(template, examples, capacity)
+    grid = [(lr, rs) for lr in lr_grid for rs in restarts_grid]
+    results = []
+    for fold in range(k):
+        train_examples = [ex for ex in examples if folds[ex.example_id] != fold]
+        held_examples = [ex for ex in examples if folds[ex.example_id] == fold]
+        train_rows = [q for q in queries if folds[q.example_id] != fold]
+        held_rows = [q for q in queries if folds[q.example_id] == fold]
+        best = None
+        for gi, (lr, restarts) in enumerate(grid):
+            cfg = TrainConfig(learning_rate=lr, epochs=epochs, restarts=restarts,
+                              seed=derive_seed(seed, "fold", fold, "cfg", gi),
+                              cost_kind=cost_kind)
+            rows = [QueryRow(q.example_id, q.atom, reader(q, fold, "train")) for q in train_rows]
+            task = TrainingTask(template, train_examples, rows, cfg, family)
+            compiled = CompiledTask(task, nets)
+            try:
+                params, _ = train(task, compiled)
+            except AllRestartsFailedError:
+                continue
+            pairs = [(score, reader(q, fold, "risk"))
+                     for (q, score, _missing) in compiled.scores(params)]
+            key = (zero_one_error(pairs), compiled.total_cost(params), gi)
+            if best is None or key < best[0]:
+                best = (key, params)
+        if best is None:
+            raise AllRestartsFailedError(f"every grid point diverged on fold {fold}")
+        rows = [QueryRow(q.example_id, q.atom, reader(q, fold, "test")) for q in held_rows]
+        held = CompiledTask(TrainingTask(template, held_examples, rows, family=family), nets)
+        pairs = [(score, q.target) for q, score, _missing in held.scores(best[1])]
+        results.append((fold, zero_one_error(pairs)))
+    return results

@@ -6,10 +6,9 @@ import math
 
 import pytest
 
-from lrnn import Atom, Example, predict
+from lrnn import Atom, Example, crossvalidate, make_folds, predict
 from lrnn.errors import ParseError
-from lrnn.cli import (crossvalidate, main, make_folds, parse_params,
-                      render_params)
+from lrnn.cli import main, parse_params, render_params
 from lrnn.datasets import make_bond_dataset
 from lrnn.fixtures import fixture_dir, fixture_text
 from lrnn.logic import parse_template, render_examples
@@ -279,13 +278,14 @@ def test_predict_defaults_to_stdout(tmp_path, capsys):
     assert "mother(bob,alice)" in out
 
 
-def test_predict_unknown_example_exits_2(tmp_path):
+def test_predict_unknown_example_exits_2(tmp_path, capsys):
     queries = tmp_path / "q.lrnn"
     queries.write_text("#example ghost\n1.0 :: mother(bob,alice).\n", encoding="utf-8")
     rc = main(["predict", "--template", str(FAMILY / "template.lrnn"),
                "--examples", str(FAMILY / "examples.lrnn"),
                "--queries", str(queries)])
     assert rc == 2
+    assert "'ghost'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name, text", [
@@ -362,6 +362,30 @@ def test_xval_zero_error_when_query_atom_underivable(tmp_path):
     rows = _read_csv(out)
     assert rows == [["fold", "error"], ["0", "0.0"], ["1", "0.0"], ["2", "0.0"],
                     ["mean", "0.0"]]
+
+
+def test_xval_unknown_example_exits_2(tmp_path, capsys):
+    template, examples, _ = _bond_files(tmp_path, 4)
+    queries = tmp_path / "q.lrnn"
+    queries.write_text("#example ghost\n1.0 :: explosive.\n", encoding="utf-8")
+    rc = main(["xval", "--template", template, "--examples", examples,
+               "--queries", str(queries), "--folds", "2", "--epochs", "1",
+               "--out", str(tmp_path / "folds.csv")])
+    assert rc == 2
+    assert "'ghost'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, value, name", [
+    ("--lr-grid", ",", "lr_grid"),
+    ("--restarts-grid", "", "restarts_grid"),
+])
+def test_xval_empty_grid_exits_2(tmp_path, capsys, option, value, name):
+    template, examples, queries = _bond_files(tmp_path, 4)
+    rc = main(["xval", "--template", template, "--examples", examples,
+               "--queries", queries, "--folds", "2", "--epochs", "1", option, value,
+               "--out", str(tmp_path / "folds.csv")])
+    assert rc == 2
+    assert f"{name} is empty" in capsys.readouterr().err
 
 
 def test_xval_runs_and_is_deterministic(tmp_path, capsys):

@@ -8,8 +8,9 @@ import pytest
 
 from lrnn import (AllRestartsFailedError, Atom, CompiledTask, Constant,
                   DivergenceError, TrainConfig, TrainingTask, backward, build,
-                  cost, derive_seed, forward, ground, parse_template, predict,
-                  sgd_epoch, sigmoid, train, zero_one_error)
+                  compile_networks, cost, crossvalidate, derive_seed, forward, ground,
+                  parse_template, predict, sgd_epoch, sigmoid, train, zero_one_error)
+from lrnn import training
 from lrnn.datasets import make_bond_dataset, planted_label
 from lrnn.logic import Example, QueryRow
 
@@ -439,6 +440,34 @@ def test_bond_dataset_deterministic():
     assert a == b
     c = make_bond_dataset(12, seed=5)
     assert a != c
+
+
+def test_compiled_task_uses_prebuilt_networks():
+    template = load_template("explosives")
+    examples, queries = make_bond_dataset(6, seed=1)
+    nets = compile_networks(template, examples)
+    task = TrainingTask(template, examples[2:], queries[2:], TrainConfig(), "ms")
+    shared = CompiledTask(task, nets)
+    assert [id(net) for net in shared.nets] == [id(nets[ex.example_id]) for ex in examples[2:]]
+    own = CompiledTask(task)
+    params = own.initial_params(5)
+    assert shared.scores(params) == own.scores(params)
+    assert shared.total_cost(params) == own.total_cost(params)
+
+
+def test_crossvalidate_grounds_each_example_once(monkeypatch):
+    template = load_template("explosives")
+    examples, queries = make_bond_dataset(10, seed=0)
+    grounded = []
+    real_ground = training.ground
+
+    def counting_ground(tmpl, facts, capacity):
+        grounded.append(facts)
+        return real_ground(tmpl, facts, capacity)
+
+    monkeypatch.setattr(training, "ground", counting_ground)
+    crossvalidate(template, examples, queries, 5, [0.5, 2.0], [1, 2], 1, 0, "ms")
+    assert grounded == [ex.facts for ex in examples]
 
 
 def test_latent_rule_is_learnable_on_small_sample():
