@@ -6,16 +6,16 @@ rules become an example-specific feedforward network, and the clause
 weights shared across all examples are learned by online SGD.
 """
 
-from .activations import (AVG_SIGMOID, FAMILIES, GODEL, MAX_SIGMOID, ActivationEval,
-                          eval_agg, eval_conj, eval_disj, sigmoid)
+from .activations import (AVG_SIGMOID, FAMILIES, GODEL, MAX_SIGMOID, eval_agg, eval_conj,
+                          eval_disj, local_gradient, sigmoid)
 from .errors import (AllRestartsFailedError, CapacityError, DivergenceError,
                      EmptyInputError, LrnnError, ParseError, RecursiveTemplateError)
 from .grounding import (DEFAULT_CAPACITY, ConstRef, Grounding, GroundRuleInstance,
                         HerbrandModel, ParamRef, ground, least_herbrand_model)
 from .logic import (Atom, Constant, Example, ParameterStore, QueryRow, Template,
                     Variable, WeightedClause, apply, check_nonrecursive, make_template,
-                    parse_examples, parse_queries, parse_template, render_clause,
-                    render_examples, render_template)
+                    parse_examples, parse_params, parse_queries, parse_template,
+                    render_clause, render_examples, render_params, render_template)
 from .network import GroundNetwork, Neuron, ValueMap, build, export_dot, forward
 from .training import (CompiledTask, TrainConfig, TrainingTask, TrainReport, backward,
                        compile_networks, cost, crossvalidate, derive_seed, ground_networks,

@@ -15,11 +15,14 @@ Three families are supported:
 The godel family reproduces min/max fuzzy-logic evaluation and is meant
 for inference; its min/max subgradients make training fragile.  Offsets
 are per-parameter values passed in by the caller; the defaults below are
-their initial values.  Ties in min/max resolve to the lowest index.
+their initial values.  An atom fed by facts alone sums its weighted facts
+in every family.  The eval_* functions return the value only;
+`local_gradient` derives the local slope from it: v(1 - v) for a sigmoid,
+1/m for a mean of m, 1 for a linear sum, and for a min or max a unit
+slope on the winning input, the lowest index among ties.
 """
 
 import math
-from dataclasses import dataclass
 
 from .errors import EmptyInputError
 
@@ -27,6 +30,13 @@ GODEL = "godel"
 MAX_SIGMOID = "ms"
 AVG_SIGMOID = "as"
 FAMILIES = (GODEL, MAX_SIGMOID, AVG_SIGMOID)
+
+# The operation a neuron applies to its inputs; WEIGHTED_SUM is the
+# fact-only atom's pass-through.
+CONJUNCTION = "conj"
+AGGREGATION = "agg"
+DISJUNCTION = "disj"
+WEIGHTED_SUM = "sum"
 
 # The values the sigmoid families were calibrated with; parameter stores
 # start their offsets here.
@@ -43,16 +53,6 @@ def sigmoid(x: float) -> float:
     return z / (1.0 + z)
 
 
-@dataclass(slots=True)
-class ActivationEval:
-    """Value plus input partials; offset_partial is d value / d offset."""
-
-    value: float
-    partials: list
-    offset_partial: float = 0.0
-    argmax_index: int | None = None
-
-
 def _check(family: str, inputs):
     if family not in FAMILIES:
         raise ValueError(f"unknown activation family {family!r}")
@@ -60,48 +60,43 @@ def _check(family: str, inputs):
         raise EmptyInputError("activation evaluated on an empty input list")
 
 
-def _max_eval(inputs) -> ActivationEval:
-    best = 0
-    for i in range(1, len(inputs)):
-        if inputs[i] > inputs[best]:
-            best = i
-    partials = [0.0] * len(inputs)
-    partials[best] = 1.0
-    return ActivationEval(inputs[best], partials, 0.0, best)
-
-
-def eval_conj(family: str, inputs, offset: float = CONJ_OFFSET_INIT) -> ActivationEval:
+def eval_conj(family: str, inputs, offset: float = CONJ_OFFSET_INIT) -> float:
     _check(family, inputs)
     if family == GODEL:
-        best = 0
-        for i in range(1, len(inputs)):
-            if inputs[i] < inputs[best]:
-                best = i
-        partials = [0.0] * len(inputs)
-        partials[best] = 1.0
-        return ActivationEval(inputs[best], partials, 0.0, None)
-    s = sigmoid(math.fsum(inputs) - len(inputs) + offset)
-    d = s * (1.0 - s)
-    return ActivationEval(s, [d] * len(inputs), d, None)
+        return min(inputs)
+    return sigmoid(math.fsum(inputs) - len(inputs) + offset)
 
 
-def eval_agg(family: str, inputs) -> ActivationEval:
+def eval_agg(family: str, inputs) -> float:
     _check(family, inputs)
     if family == AVG_SIGMOID:
-        m = len(inputs)
         # Dividing the exact sum can round past the inputs' range (three
         # equal inputs may average above themselves); clamp it back.
-        mean = min(max(math.fsum(inputs) / m, min(inputs)), max(inputs))
-        return ActivationEval(mean, [1.0 / m] * m, 0.0, None)
-    return _max_eval(inputs)
+        return min(max(math.fsum(inputs) / len(inputs), min(inputs)), max(inputs))
+    return max(inputs)
 
 
-def eval_disj(family: str, inputs, offset: float = DISJ_OFFSET_INIT) -> ActivationEval:
+def eval_disj(family: str, inputs, offset: float = DISJ_OFFSET_INIT) -> float:
     _check(family, inputs)
     if family == GODEL:
-        return _max_eval(inputs)
+        return max(inputs)
     if family == MAX_SIGMOID:
-        s = sigmoid(math.fsum(inputs) + offset)
-        d = s * (1.0 - s)
-        return ActivationEval(s, [d] * len(inputs), d, None)
-    return ActivationEval(math.fsum(inputs) + offset, [1.0] * len(inputs), 1.0, None)
+        return sigmoid(math.fsum(inputs) + offset)
+    return math.fsum(inputs) + offset
+
+
+def local_gradient(family: str, op: str, inputs, value: float) -> tuple:
+    """(winner, slope) of an `op` neuron whose forward pass gave `value`.
+
+    A min or max depends on one input: winner is its index and slope 1.
+    Otherwise winner is None and slope is d value / d input, the same for
+    every input and for the neuron's offset.
+    """
+    if op == WEIGHTED_SUM or (op == DISJUNCTION and family == AVG_SIGMOID):
+        return None, 1.0
+    if family == GODEL or (op == AGGREGATION and family == MAX_SIGMOID):
+        # min/max return a NaN only when it is their first input.
+        return (inputs.index(value) if value == value else 0), 1.0
+    if op == AGGREGATION:
+        return None, 1.0 / len(inputs)
+    return None, value * (1.0 - value)

@@ -18,49 +18,17 @@ All outputs are deterministic functions of the inputs and --seed.
 import argparse
 import csv
 import io
-import math
 import os
 import sys
 from pathlib import Path
 
+from .activations import FAMILIES
 from .errors import CapacityError, LrnnError, ParseError, RecursiveTemplateError
 from .grounding import DEFAULT_CAPACITY
-from .logic import ParameterStore, parse_examples, parse_queries, parse_template
+from .logic import parse_examples, parse_params, parse_queries, parse_template, render_params
 from .network import export_dot
-from .training import (CompiledTask, TrainConfig, TrainingTask, crossvalidate, ground_networks,
-                       train, zero_one_error)
-
-
-# ---------------------------------------------------------------------------
-# Parameter files
-
-
-def render_params(params: ParameterStore) -> str:
-    """`param <pid> = <decimal>` per line, full repr precision."""
-    return "".join(f"param {pid} = {repr(params[pid])}\n" for pid in params)
-
-
-def parse_params(text: str, base: ParameterStore, source: str = "params") -> ParameterStore:
-    """Overlay a parameter file onto the template's store."""
-    params = base.copy()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("%", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 4 or parts[0] != "param" or parts[2] != "=":
-            raise ParseError("expected 'param <id> = <decimal>'", source, lineno, 1)
-        pid = parts[1]
-        if pid not in params:
-            raise ParseError(f"unknown parameter id {pid!r}", source, lineno, 1)
-        try:
-            value = float(parts[3])
-        except ValueError:
-            raise ParseError(f"malformed decimal {parts[3]!r}", source, lineno, 1) from None
-        if not math.isfinite(value):
-            raise ParseError(f"parameter {pid!r} is not finite: {parts[3]!r}", source, lineno, 1)
-        params[pid] = value
-    return params
+from .training import (COST_KINDS, CompiledTask, TrainConfig, TrainingTask, crossvalidate,
+                       ground_networks, train, zero_one_error)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--template", required=True, help="template file")
         p.add_argument("--examples", required=True, help="example set file")
         if family:
-            p.add_argument("--family", choices=["godel", "ms", "as"], default="ms",
+            p.add_argument("--family", choices=FAMILIES, default="ms",
                            help="activation family (default ms)")
 
     p = sub.add_parser("ground", help="write instance lists and neuron stats")
@@ -224,8 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--init-range", type=float, nargs=2, default=(-1.0, 1.0),
                    metavar=("LO", "HI"))
-    p.add_argument("--cost", choices=["squared_sigmoid", "cross_entropy"],
-                   default="squared_sigmoid")
+    p.add_argument("--cost", choices=COST_KINDS, default="squared_sigmoid")
     p.add_argument("--freeze-offsets", action="store_true",
                    help="keep conjunction/disjunction offsets at their initial values")
     p.add_argument("--out-params", required=True, help="parameter file to write")
@@ -249,8 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated restart counts (default 3)")
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cost", choices=["squared_sigmoid", "cross_entropy"],
-                   default="squared_sigmoid")
+    p.add_argument("--cost", choices=COST_KINDS, default="squared_sigmoid")
     p.add_argument("--out", required=True, help="per-fold error CSV to write")
     p.set_defaults(fn=cmd_xval)
 

@@ -68,9 +68,6 @@ class GroundRuleInstance:
     head: Atom
     body: tuple
 
-    def substitution(self) -> dict:
-        return {Variable(v): Constant(c) for v, c in self.theta}
-
 
 @dataclass(frozen=True, slots=True)
 class Grounding:

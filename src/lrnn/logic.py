@@ -16,7 +16,8 @@ target value in [0, 1].
 
 Clause identity is positional, `<source>:<ordinal>` with 0-based
 ordinals, so parameter ids survive re-parsing the same file.  A weight
-written "?" marks the clause parameter as learnable.
+written "?" marks the clause parameter as learnable.  Parameter files
+hold one `param <id> = <decimal>` line per parameter.
 """
 
 import math
@@ -168,6 +169,34 @@ class ParameterStore:
         return ParameterStore(self.values, self.learnable, self.kinds)
 
 
+def render_params(params: ParameterStore) -> str:
+    """Parameter file text: `param <pid> = <decimal>` per line, full repr precision."""
+    return "".join(f"param {pid} = {repr(params[pid])}\n" for pid in params)
+
+
+def parse_params(text: str, base: ParameterStore, source: str = "params") -> ParameterStore:
+    """Overlay a parameter file onto the template's store."""
+    params = base.copy()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("%", 1)[0].strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 4 or parts[0] != "param" or parts[2] != "=":
+            raise ParseError("expected 'param <id> = <decimal>'", source, lineno, 1)
+        pid = parts[1]
+        if pid not in params:
+            raise ParseError(f"unknown parameter id {pid!r}", source, lineno, 1)
+        try:
+            value = float(parts[3])
+        except ValueError:
+            raise ParseError(f"malformed decimal {parts[3]!r}", source, lineno, 1) from None
+        if not math.isfinite(value):
+            raise ParseError(f"parameter {pid!r} is not finite: {parts[3]!r}", source, lineno, 1)
+        params[pid] = value
+    return params
+
+
 @dataclass
 class Template:
     """An ordered set of weighted clauses plus their parameter store."""
@@ -176,12 +205,6 @@ class Template:
     params: ParameterStore
     source: str = "template"
     family: str = "ms"
-
-    def rules(self) -> list:
-        return [c for c in self.clauses if not c.is_fact]
-
-    def fact_clauses(self) -> list:
-        return [c for c in self.clauses if c.is_fact]
 
     def signatures(self) -> list:
         seen = {}

@@ -19,12 +19,17 @@ simple path, so accumulated gradients stay exact.  Neuron order is
 topological and deterministic: facts first, then predicates from the
 leaves of the template dependency order upward, atoms sorted within a
 predicate.
+
+A forward pass keeps one value per neuron; `training.backward` rebuilds
+each neuron's inputs through the same `activation` helper and takes its
+local slope from that value.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .activations import ActivationEval, eval_agg, eval_conj, eval_disj
+from .activations import (AGGREGATION, CONJUNCTION, DISJUNCTION, WEIGHTED_SUM, eval_agg,
+                          eval_conj, eval_disj)
 from .grounding import ConstRef, Grounding, ParamRef
 from .logic import Atom, Template, check_nonrecursive, ground_atom_key
 
@@ -37,7 +42,7 @@ _UNIT = ConstRef(1.0)
 class Neuron:
     nid: int
     kind: int
-    label: str
+    origin: object  # Atom (fact, atom) or (clause_id, head Atom) (rule, agg)
     inputs: tuple = ()  # neuron ids, evaluation order
     weights: tuple = ()  # ParamRef | ConstRef, parallel to inputs
     offset_pid: str | None = None  # conj offset (rule) or disj offset (atom)
@@ -84,45 +89,44 @@ def build(grounding: Grounding, template: Template, example_id: str | None = Non
 
     neurons, outputs = [], {}
 
-    def emit(kind, label, inputs=(), weights=(), offset_pid=None) -> int:
+    def emit(kind, origin, inputs=(), weights=(), offset_pid=None) -> int:
         nid = len(neurons)
-        neurons.append(Neuron(nid, kind, label, tuple(inputs), tuple(weights), offset_pid))
+        neurons.append(Neuron(nid, kind, origin, tuple(inputs), tuple(weights), offset_pid))
         return nid
 
     facts_by_atom = {}
     for atom, ref in grounding.ground_facts:
-        nid = emit(FACT, str(atom))
+        nid = emit(FACT, atom)
         facts_by_atom.setdefault(atom, []).append((nid, ref))
 
     for atom in sorted(atoms, key=emission_key):
         agg_inputs, agg_weights = [], []
         for clause_id, insts in grouped.get(atom, {}).items():
             clause = clause_by_id[clause_id]
+            origin = (clause_id, atom)
             rule_ids = []
             for inst in insts:
                 body_ids = [outputs[b] for b in inst.body]
-                label = f"{inst.head} :- {', '.join(str(b) for b in inst.body)}"
-                rule_ids.append(emit(RULE, label, body_ids, [_UNIT] * len(body_ids),
+                rule_ids.append(emit(RULE, origin, body_ids, [_UNIT] * len(body_ids),
                                      template.conj_offset_pid(clause)))
-            agg_id = emit(AGG, f"{clause_id} => {atom}", rule_ids, [_UNIT] * len(rule_ids))
+            agg_id = emit(AGG, origin, rule_ids, [_UNIT] * len(rule_ids))
             agg_inputs.append(agg_id)
             agg_weights.append(ParamRef(clause.weight_ref))
         for fact_id, ref in facts_by_atom.get(atom, ()):
             agg_inputs.append(fact_id)
             agg_weights.append(ref)
         offset = template.disj_offset_pid(atom.signature) if grouped.get(atom) else None
-        outputs[atom] = emit(ATOM, str(atom), agg_inputs, agg_weights, offset)
+        outputs[atom] = emit(ATOM, atom, agg_inputs, agg_weights, offset)
 
     return GroundNetwork(neurons, outputs, example_id)
 
 
 @dataclass
 class ValueMap:
-    """Per-neuron outputs of one forward pass, plus the evals needed to
-    run the reverse sweep (None for fact neurons)."""
+    """Per-neuron outputs of one forward pass and the family that made them."""
 
     values: list
-    evals: list
+    family: str
 
     def output(self, net: GroundNetwork, atom: Atom) -> tuple:
         """(value, missing): missing queries evaluate to 0.0."""
@@ -132,32 +136,33 @@ class ValueMap:
         return (self.values[nid], False)
 
 
-def resolve(ref, params) -> float:
-    return ref.value if type(ref) is ConstRef else params[ref.pid]
+def activation(neuron: Neuron, values: list, params) -> tuple:
+    """(op, inputs) of a non-fact neuron: rule and aggregation neurons
+    combine their sources' values, atom neurons the terms weight * value."""
+    kind = neuron.kind
+    if kind != ATOM:
+        return (CONJUNCTION if kind == RULE else AGGREGATION), [values[s] for s in neuron.inputs]
+    terms = [(params[w.pid] if type(w) is ParamRef else w.value) * values[s]
+             for s, w in zip(neuron.inputs, neuron.weights)]
+    return (WEIGHTED_SUM if neuron.offset_pid is None else DISJUNCTION), terms
 
 
 def forward(net: GroundNetwork, params, family: str) -> ValueMap:
-    values = [0.0] * len(net.neurons)
-    evals = [None] * len(net.neurons)
+    values = [1.0] * len(net.neurons)  # a fact neuron's output
     for neuron in net.neurons:
-        kind = neuron.kind
-        if kind == FACT:
-            values[neuron.nid] = 1.0
+        if neuron.kind == FACT:
             continue
-        if kind == RULE:
-            ev = eval_conj(family, [values[s] for s in neuron.inputs], params[neuron.offset_pid])
-        elif kind == AGG:
-            ev = eval_agg(family, [values[s] for s in neuron.inputs])
+        op, inputs = activation(neuron, values, params)
+        if op == CONJUNCTION:
+            value = eval_conj(family, inputs, params[neuron.offset_pid])
+        elif op == AGGREGATION:
+            value = eval_agg(family, inputs)
+        elif op == DISJUNCTION:
+            value = eval_disj(family, inputs, params[neuron.offset_pid])
         else:
-            terms = [resolve(w, params) * values[s] for s, w in zip(neuron.inputs, neuron.weights)]
-            if neuron.offset_pid is None:
-                # Fact-only atom: no clause aggregations, pass the weighted sum through.
-                ev = ActivationEval(math.fsum(terms), [1.0] * len(terms))
-            else:
-                ev = eval_disj(family, terms, params[neuron.offset_pid])
-        values[neuron.nid] = ev.value
-        evals[neuron.nid] = ev
-    return ValueMap(values, evals)
+            value = math.fsum(inputs)
+        values[neuron.nid] = value
+    return ValueMap(values, family)
 
 
 _SHAPES = {FACT: "box", ATOM: "ellipse", RULE: "diamond", AGG: "trapezium"}
@@ -167,12 +172,23 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def _label(net: GroundNetwork, neuron: Neuron) -> str:
+    if neuron.kind == RULE:
+        # A rule neuron's inputs are its body atoms' neurons, in body order.
+        body = ", ".join(str(net.neurons[src].origin) for src in neuron.inputs)
+        return f"{neuron.origin[1]} :- {body}"
+    if neuron.kind == AGG:
+        return f"{neuron.origin[0]} => {neuron.origin[1]}"
+    return str(neuron.origin)
+
+
 def export_dot(net: GroundNetwork) -> str:
-    """Graphviz text: node shape encodes the neuron kind, edge labels
-    carry parameter ids (shared weights) or non-unit constants."""
+    """Graphviz text: node shape encodes the neuron kind, node labels
+    show what each neuron stands for, edge labels carry parameter ids
+    (shared weights) or non-unit constants."""
     lines = ["digraph ground_network {"]
     for neuron in net.neurons:
-        lines.append(f"  n{neuron.nid} [shape={_SHAPES[neuron.kind]}, label={_quote(neuron.label)}];")
+        lines.append(f"  n{neuron.nid} [shape={_SHAPES[neuron.kind]}, label={_quote(_label(net, neuron))}];")
     for neuron in net.neurons:
         for src, ref in zip(neuron.inputs, neuron.weights):
             if type(ref) is ParamRef:

@@ -2,9 +2,11 @@
 
 Gradients of shared parameters accumulate by plain summation over all
 edge occurrences, which is exact because a parameter occurs at most once
-on any simple path of a ground network.  Max aggregations route their
-gradient solely to the argmax input.  Updates are online: after each
-example's queries are backpropagated, weights move immediately by
+on any simple path of a ground network.  The reverse sweep keeps nothing
+from the forward pass but its values: each neuron's local slope comes
+from its forward value (`activations.local_gradient`), and a min or max
+routes its gradient solely to the winning input.  Updates are online:
+after each example's queries are backpropagated, weights move at once by
 w <- w - lr * grad.  Restarts redraw the learnable weights from
 Uniform(init_range) with seeds derived from the master seed, and the
 restart with the lowest final training cost wins; a restart whose
@@ -17,11 +19,11 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .activations import AVG_SIGMOID, FAMILIES, MAX_SIGMOID, sigmoid
+from .activations import AVG_SIGMOID, FAMILIES, MAX_SIGMOID, local_gradient, sigmoid
 from .errors import AllRestartsFailedError, DivergenceError
 from .grounding import DEFAULT_CAPACITY, ParamRef, ground
 from .logic import KIND_WEIGHT, ParameterStore, QueryRow, Template
-from .network import ATOM, FACT, GroundNetwork, ValueMap, build, forward
+from .network import FACT, GroundNetwork, ValueMap, activation, build, forward
 
 SQUARED_SIGMOID = "squared_sigmoid"
 CROSS_ENTROPY = "cross_entropy"
@@ -65,29 +67,27 @@ def backward(net: GroundNetwork, vm: ValueMap, query_grads: dict, params) -> dic
         if nid is not None:
             adjoint[nid] += g
     grads = {}
-    values = vm.values
+    values, family = vm.values, vm.family
     for neuron in reversed(net.neurons):
         g = adjoint[neuron.nid]
         if g == 0.0 or neuron.kind == FACT:
             continue
-        ev = vm.evals[neuron.nid]
-        partials = ev.partials
-        if neuron.kind == ATOM:
-            for src, ref, p in zip(neuron.inputs, neuron.weights, partials):
-                if p == 0.0:
-                    continue
-                if type(ref) is ParamRef:
-                    grads[ref.pid] = grads.get(ref.pid, 0.0) + g * p * values[src]
-                    adjoint[src] += g * p * params[ref.pid]
-                else:
-                    adjoint[src] += g * p * ref.value
-        else:
-            for src, p in zip(neuron.inputs, partials):
-                if p != 0.0:
-                    adjoint[src] += g * p
-        if neuron.offset_pid is not None and ev.offset_partial != 0.0:
-            pid = neuron.offset_pid
-            grads[pid] = grads.get(pid, 0.0) + g * ev.offset_partial
+        op, inputs = activation(neuron, values, params)
+        winner, slope = local_gradient(family, op, inputs, values[neuron.nid])
+        if slope == 0.0:
+            continue
+        g *= slope
+        edges = zip(neuron.inputs, neuron.weights)
+        if winner is not None:
+            edges = ((neuron.inputs[winner], neuron.weights[winner]),)
+        for src, ref in edges:
+            if type(ref) is ParamRef:
+                grads[ref.pid] = grads.get(ref.pid, 0.0) + g * values[src]
+                adjoint[src] += g * params[ref.pid]
+            else:
+                adjoint[src] += g * ref.value
+        if winner is None and neuron.offset_pid is not None:
+            grads[neuron.offset_pid] = grads.get(neuron.offset_pid, 0.0) + g
     return grads
 
 
@@ -319,10 +319,11 @@ def crossvalidate(template: Template, examples, queries, k: int, lr_grid, restar
 
     Inner selection trains each (learning rate, restarts) grid point on
     the training folds and picks the lowest training risk (0/1 error,
-    ties broken by final cost, then grid order).  Held-out targets are
-    read only for the final fold evaluation; all target reads go through
-    `target_reader(row, fold, purpose)` so tests can verify that.  Each
-    example is grounded once; every fold and grid point reuses its network.
+    ties broken by the best restart's final cost, then grid order).
+    Held-out targets are read only for the final fold evaluation; all
+    target reads go through `target_reader(row, fold, purpose)` so tests
+    can verify that.  Each example is grounded once; every fold and grid
+    point reuses its network.
     """
     reader = target_reader or (lambda row, fold, purpose: row.target)
     folds = make_folds([ex.example_id for ex in examples], k, seed)
@@ -349,12 +350,12 @@ def crossvalidate(template: Template, examples, queries, k: int, lr_grid, restar
             task = TrainingTask(template, train_examples, rows, cfg, family)
             compiled = CompiledTask(task, nets)
             try:
-                params, _ = train(task, compiled)
+                params, report = train(task, compiled)
             except AllRestartsFailedError:
                 continue
             pairs = [(score, reader(q, fold, "risk"))
                      for (q, score, _missing) in compiled.scores(params)]
-            key = (zero_one_error(pairs), compiled.total_cost(params), gi)
+            key = (zero_one_error(pairs), dict(report.finals)[report.best_restart], gi)
             if best is None or key < best[0]:
                 best = (key, params)
         if best is None:

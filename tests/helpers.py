@@ -77,7 +77,7 @@ def untied_copy(net, params):
         weights = tuple(ParamRef(fresh(ref.pid)) if isinstance(ref, ParamRef) else ref
                         for ref in n.weights)
         offset = fresh(n.offset_pid) if n.offset_pid is not None else None
-        neurons.append(Neuron(n.nid, n.kind, n.label, n.inputs, weights, offset))
+        neurons.append(Neuron(n.nid, n.kind, n.origin, n.inputs, weights, offset))
     store = ParameterStore(values, frozenset(learnable), kinds)
     copy = GroundNetwork(neurons, dict(net.outputs), net.example_id)
     return copy, store, mapping

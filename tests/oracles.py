@@ -47,13 +47,16 @@ def substitutions(variables, universe):
 def naive_model(template, example_facts):
     """Least fixpoint by brute force: re-derive everything each round."""
     universe = universe_of(template, example_facts)
+    rules = [c for c in template.clauses if not c.is_fact]
     atoms = {atom for _w, atom in example_facts}
-    for c in template.fact_clauses():
+    for c in template.clauses:
+        if not c.is_fact:
+            continue
         for theta in substitutions(clause_variables((c.head,)), universe):
             atoms.add(apply(theta, c.head))
     while True:
         fresh = set()
-        for c in template.rules():
+        for c in rules:
             for theta in substitutions(clause_variables((c.head, *c.body)), universe):
                 if all(apply(theta, b) in atoms for b in c.body):
                     head = apply(theta, c.head)
@@ -68,7 +71,9 @@ def naive_instances(template, example_facts, model_atoms):
     """{(clause_id, sorted theta)} for every active rule instance."""
     universe = universe_of(template, example_facts)
     out = set()
-    for c in template.rules():
+    for c in template.clauses:
+        if c.is_fact:
+            continue
         cvars = clause_variables((c.head, *c.body))
         for theta in substitutions(cvars, universe):
             if all(apply(theta, b) in model_atoms for b in c.body):
@@ -88,15 +93,18 @@ def fuzzy_min_max_values(template, example_facts):
     fact_weight = {}
     for w, atom in example_facts:
         fact_weight[atom] = w
-    for c in template.fact_clauses():
+    for c in template.clauses:
+        if not c.is_fact:
+            continue
         w = template.params[c.weight_ref]
         for theta in substitutions(clause_variables((c.head,)), universe):
             fact_weight[apply(theta, c.head)] = w
+    rules = [c for c in template.clauses if not c.is_fact]
     val = {atom: fact_weight.get(atom, 0.0) for atom in model}
     changed = True
     while changed:
         changed = False
-        for c in template.rules():
+        for c in rules:
             w = template.params[c.weight_ref]
             cvars = clause_variables((c.head, *c.body))
             for theta in substitutions(cvars, universe):

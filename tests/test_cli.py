@@ -6,9 +6,10 @@ import math
 
 import pytest
 
-from lrnn import Atom, Example, crossvalidate, make_folds, predict
+from lrnn import (Atom, Example, crossvalidate, make_folds, parse_params, predict,
+                  render_params)
 from lrnn.errors import ParseError
-from lrnn.cli import main, parse_params, render_params
+from lrnn.cli import main
 from lrnn.datasets import make_bond_dataset
 from lrnn.fixtures import fixture_dir, fixture_text
 from lrnn.logic import parse_template, render_examples

@@ -289,7 +289,7 @@ def test_nonrecursive_order_heads_before_bodies():
     t = load_template("family")
     order = check_nonrecursive(t)
     position = {sig: i for i, sig in enumerate(order)}
-    for c in t.rules():
+    for c in t.clauses:  # a fact has no body
         for b in c.body:
             assert position[c.head.signature] < position[b.signature]
 
@@ -320,6 +320,6 @@ def test_random_stratified_programs_pass_check():
         template, _ = random_nonrecursive_program(random.Random(seed))
         order = check_nonrecursive(template)
         position = {sig: i for i, sig in enumerate(order)}
-        for c in template.rules():
+        for c in template.clauses:  # a fact has no body
             for b in c.body:
                 assert position[c.head.signature] < position[b.signature]

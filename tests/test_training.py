@@ -470,6 +470,24 @@ def test_crossvalidate_grounds_each_example_once(monkeypatch):
     assert grounded == [ex.facts for ex in examples]
 
 
+def test_crossvalidate_ranks_by_reported_final_cost(monkeypatch):
+    # Every cost pass belongs to an SGD epoch; grid points are ranked by
+    # the final cost train() reported, not by one more pass.
+    template = load_template("explosives")
+    examples, queries = make_bond_dataset(10, seed=0)
+    calls = []
+    real_total_cost = CompiledTask.total_cost
+
+    def counting_total_cost(self, params):
+        calls.append(1)
+        return real_total_cost(self, params)
+
+    monkeypatch.setattr(CompiledTask, "total_cost", counting_total_cost)
+    k, lr_grid, restarts_grid, epochs = 5, [0.5, 2.0], [1, 2], 2
+    crossvalidate(template, examples, queries, k, lr_grid, restarts_grid, epochs, 0, "ms")
+    assert len(calls) == k * len(lr_grid) * sum(restarts_grid) * epochs
+
+
 def test_latent_rule_is_learnable_on_small_sample():
     template = load_template("explosives")
     examples, queries = make_bond_dataset(20, seed=0)
