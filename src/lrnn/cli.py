@@ -18,6 +18,7 @@ All outputs are deterministic functions of the inputs and --seed.
 import argparse
 import csv
 import io
+import math
 import os
 import sys
 from pathlib import Path
@@ -119,12 +120,13 @@ def cmd_predict(args) -> int:
     wanted = {q.example_id for q in queries}
     task = TrainingTask(template, [ex for ex in examples if ex.example_id in wanted], queries,
                         family=args.family, capacity=_capacity())
-    rows = [[q.example_id, str(q.atom), repr(score), "true" if missing else "false"]
-            for q, score, missing in CompiledTask(task).scores(params)]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["example_id", "atom", "score", "missing"])
-    writer.writerows(rows)
+    for q, score, missing in CompiledTask(task).scores(params):
+        if not math.isfinite(score):
+            raise ValueError(f"example {q.example_id}: score of {q.atom} is not finite ({score!r})")
+        writer.writerow([q.example_id, str(q.atom), repr(score), "true" if missing else "false"])
     if args.out:
         Path(args.out).write_text(buf.getvalue(), encoding="utf-8")
     else:

@@ -24,6 +24,12 @@ same order as the scan it replaces.
 Variables occurring only in a clause head (including facts written with
 variables) range over the full constant universe of template + example.
 
+Each ground atom is built once, by the model.  The head and body atoms
+of every rule instance, and the atoms of template ground facts, are the
+model's own `Atom` objects, looked up by (predicate, argument names);
+every one of them is a model atom, since an instance is active only when
+its body holds in the model, which then holds its head as well.
+
 One budget, `capacity`, bounds the grounding work: the model may hold
 at most that many atoms, and model atoms plus distinct rule instances
 may not exceed it either.
@@ -33,7 +39,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CapacityError
-from .logic import Atom, Constant, Template, Variable, apply
+from .logic import Atom, Constant, Template
 
 DEFAULT_CAPACITY = 10**7
 
@@ -92,20 +98,31 @@ def _bind(free, row, subst) -> dict | None:
     return out
 
 
-class _Rule:
-    __slots__ = ("clause", "ordinal", "head_sig", "head_pat", "body", "head_only")
+def _instantiate(pattern: tuple, subst) -> tuple:
+    """Argument names of a compiled pattern under a substitution."""
+    return tuple([name if kind == "c" else subst[name] for kind, name in pattern])
 
-    def __init__(self, clause, ordinal):
-        self.clause = clause
-        self.ordinal = ordinal
+
+def _fact_rows(clause, universe):
+    """Argument tuples of a fact clause, its variables ranging over the universe."""
+    pattern = _compile_pattern(clause.head)
+    vars_ = sorted({name for kind, name in pattern if kind == "v"})
+    for combo in itertools.product(universe, repeat=len(vars_)):
+        yield _instantiate(pattern, dict(zip(vars_, combo)))
+
+
+class _Rule:
+    __slots__ = ("head_sig", "head_pat", "body_pats", "body", "head_only")
+
+    def __init__(self, clause):
         self.head_sig = clause.head.signature
         self.head_pat = _compile_pattern(clause.head)
+        self.body_pats = tuple((b.pred, _compile_pattern(b)) for b in clause.body)
         # Per body atom: (signature, key positions, key pattern, free
         # (position, variable) slots).  Constants are always key positions.
         self.body = []
         bound = set()
-        for b in clause.body:
-            pattern = _compile_pattern(b)
+        for b, (_, pattern) in zip(clause.body, self.body_pats):
             key_pos = tuple(i for i, (kind, name) in enumerate(pattern)
                             if kind == "c" or name in bound)
             free = tuple((i, name) for i, (_, name) in enumerate(pattern) if i not in key_pos)
@@ -165,10 +182,6 @@ def _head_expansions(rule: _Rule, subst, universe):
         yield full
 
 
-def _instantiate_head(rule: _Rule, subst) -> tuple:
-    return tuple(name if kind == "c" else subst[name] for kind, name in rule.head_pat)
-
-
 def _collect_inputs(template: Template, example_facts):
     """Split into compiled rules, ground seed tuples, and the universe."""
     constants = set()
@@ -179,18 +192,10 @@ def _collect_inputs(template: Template, example_facts):
         constants.update(t.name for t in atom.args)
     universe = tuple(sorted(constants))
 
-    rules = [_Rule(c, i) for i, c in enumerate(template.clauses) if not c.is_fact]
+    rules = [_Rule(c) for c in template.clauses if not c.is_fact]
     # Fact clauses seed the relations; variable heads expand over the universe.
-    seeds = []
-    for c in template.clauses:
-        if not c.is_fact:
-            continue
-        pattern = _compile_pattern(c.head)
-        vars_ = sorted({name for kind, name in pattern if kind == "v"})
-        for combo in itertools.product(universe, repeat=len(vars_)):
-            subst = dict(zip(vars_, combo))
-            seeds.append((c.head.signature,
-                          tuple(name if kind == "c" else subst[name] for kind, name in pattern)))
+    seeds = [(c.head.signature, row) for c in template.clauses if c.is_fact
+             for row in _fact_rows(c, universe)]
     for _, atom in example_facts:
         seeds.append((atom.signature, tuple(t.name for t in atom.args)))
     return rules, seeds, universe
@@ -217,7 +222,7 @@ def least_herbrand_model(template: Template, example_facts=(), capacity: int = D
                     continue
                 for subst in _join(rule, relations, pos, delta, indexes):
                     for full in _head_expansions(rule, subst, universe):
-                        row = _instantiate_head(rule, full)
+                        row = _instantiate(rule.head_pat, full)
                         rel = relations.get(rule.head_sig)
                         if rel is not None and row in rel:
                             continue
@@ -244,15 +249,18 @@ def ground(template: Template, example_facts=(), capacity: int = DEFAULT_CAPACIT
     order.
     """
     model = least_herbrand_model(template, example_facts, capacity)
-    relations = {}
+    relations, table = {}, {}  # table: (pred, argument names) -> the model's Atom
     for atom in model.atoms:
-        relations.setdefault(atom.signature, set()).add(tuple(t.name for t in atom.args))
+        row = tuple([t.name for t in atom.args])
+        relations.setdefault(atom.signature, set()).add(row)
+        table[atom.pred, row] = atom
 
     instances, indexes, count = [], {}, len(model.atoms)
-    for ordinal, clause in enumerate(template.clauses):
+    for clause in template.clauses:
         if clause.is_fact:
             continue
-        rule = _Rule(clause, ordinal)
+        rule = _Rule(clause)
+        head_pred = clause.head.pred
         seen = set()
         found = []
         for subst in _join(rule, relations, None, {}, indexes):
@@ -264,26 +272,16 @@ def ground(template: Template, example_facts=(), capacity: int = DEFAULT_CAPACIT
                 count += 1
                 if count > capacity:
                     raise CapacityError(count, capacity)
-                bind = {Variable(v): Constant(c) for v, c in full.items()}
-                head = apply(bind, clause.head)
-                body = tuple(apply(bind, b) for b in clause.body)
+                head = table[head_pred, _instantiate(rule.head_pat, full)]
+                body = tuple([table[pred, _instantiate(pattern, full)]
+                              for pred, pattern in rule.body_pats])
                 found.append(GroundRuleInstance(clause.clause_id, theta, head, body))
         found.sort(key=lambda inst: inst.theta)
         instances.extend(found)
 
-    ground_facts = []
-    for clause in template.clauses:
-        if not clause.is_fact:
-            continue
-        pattern = _compile_pattern(clause.head)
-        vars_ = sorted({name for kind, name in pattern if kind == "v"})
-        ref = ParamRef(clause.weight_ref)
-        for combo in itertools.product(model.universe, repeat=len(vars_)):
-            subst = dict(zip(vars_, combo))
-            atom = Atom(clause.head.pred,
-                        tuple(Constant(name if kind == "c" else subst[name]) for kind, name in pattern))
-            ground_facts.append((atom, ref))
-    for weight, atom in example_facts:
-        ground_facts.append((atom, ConstRef(weight)))
+    ground_facts = [(table[c.head.pred, row], ParamRef(c.weight_ref))
+                    for c in template.clauses if c.is_fact
+                    for row in _fact_rows(c, model.universe)]
+    ground_facts.extend((atom, ConstRef(weight)) for weight, atom in example_facts)
 
     return Grounding(model, tuple(instances), tuple(ground_facts))

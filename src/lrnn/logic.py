@@ -76,12 +76,8 @@ class Atom:
         return f"{self.pred}({','.join(str(t) for t in self.args)})"
 
 
-# Substitution: mapping Variable -> Constant.
-Substitution = dict
-
-
-def apply(subst: Substitution, atom: Atom) -> Atom:
-    """Replace every mapped variable in `atom`; unmapped variables stay."""
+def apply(subst: dict, atom: Atom) -> Atom:
+    """Replace every variable `subst` maps to a constant; unmapped variables stay."""
     if not atom.args:
         return atom
     return Atom(atom.pred, tuple(subst.get(t, t) if isinstance(t, Variable) else t for t in atom.args))
@@ -214,19 +210,27 @@ class Template:
         return list(seen)
 
     def conj_offset_pid(self, clause: WeightedClause) -> str:
-        return f"{clause.clause_id}:{KIND_CONJ}"
+        return _conj_offset_pid(clause)
 
     def disj_offset_pid(self, signature: tuple) -> str | None:
-        """Offset parameter of atom neurons for this head predicate.
+        return _disj_offset_pid(self.clauses, signature)
 
-        Keyed by the first rule clause with that head so the id stays
-        inside the parameter-file grammar; predicates never heading a
-        rule have fact-only atom neurons, which take no offset.
-        """
-        for c in self.clauses:
-            if not c.is_fact and c.head.signature == signature:
-                return f"{c.clause_id}:{KIND_DISJ}"
-        return None
+
+def _conj_offset_pid(clause: WeightedClause) -> str:
+    return f"{clause.clause_id}:{KIND_CONJ}"
+
+
+def _disj_offset_pid(clauses, signature: tuple) -> str | None:
+    """Offset parameter of atom neurons for this head predicate.
+
+    Keyed by the first rule clause with that head so the id stays
+    inside the parameter-file grammar; predicates never heading a
+    rule have fact-only atom neurons, which take no offset.
+    """
+    for c in clauses:
+        if not c.is_fact and c.head.signature == signature:
+            return f"{c.clause_id}:{KIND_DISJ}"
+    return None
 
 
 def make_template(clauses, source: str = "template", family: str = "ms") -> Template:
@@ -236,19 +240,14 @@ def make_template(clauses, source: str = "template", family: str = "ms") -> Temp
         kinds[c.weight_ref] = KIND_WEIGHT
         if c.weight is None:
             learnable.add(c.weight_ref)
-    seen_heads = set()
     for c in clauses:
         if c.is_fact:
             continue
-        conj = f"{c.clause_id}:{KIND_CONJ}"
-        values[conj] = CONJ_OFFSET_INIT
-        kinds[conj] = KIND_CONJ
+        conj, disj = _conj_offset_pid(c), _disj_offset_pid(clauses, c.head.signature)
+        values[conj], kinds[conj] = CONJ_OFFSET_INIT, KIND_CONJ
         learnable.add(conj)
-        if c.head.signature not in seen_heads:
-            seen_heads.add(c.head.signature)
-            disj = f"{c.clause_id}:{KIND_DISJ}"
-            values[disj] = DISJ_OFFSET_INIT
-            kinds[disj] = KIND_DISJ
+        if disj not in values:  # added at the head's first rule clause
+            values[disj], kinds[disj] = DISJ_OFFSET_INIT, KIND_DISJ
             learnable.add(disj)
     return Template(tuple(clauses), ParameterStore(values, learnable, kinds), source, family)
 

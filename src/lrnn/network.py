@@ -75,12 +75,9 @@ def build(grounding: Grounding, template: Template, example_id: str | None = Non
         rank = len(ordering) - position[atom.signature] if atom.signature in position else 0
         return (rank, ground_atom_key(atom))
 
-    atoms = set()
-    for inst in grounding.instances:
-        atoms.add(inst.head)
-        atoms.update(inst.body)
-    for atom, _ in grounding.ground_facts:
-        atoms.add(atom)
+    # Every body atom is a fact or the head of an active instance.
+    atoms = {inst.head for inst in grounding.instances}
+    atoms.update(atom for atom, _ in grounding.ground_facts)
 
     clause_by_id = {c.clause_id: c for c in template.clauses}
     grouped = {}  # head atom -> {clause_id: [instances]} in encounter order

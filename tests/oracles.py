@@ -82,6 +82,19 @@ def naive_instances(template, example_facts, model_atoms):
     return out
 
 
+def naive_template_facts(template, example_facts):
+    """[(ground atom, weight pid)] of the template's fact clauses in clause
+    order, each fact's variables taken in name order over the universe."""
+    universe = universe_of(template, example_facts)
+    out = []
+    for c in template.clauses:
+        if c.is_fact:
+            cvars = sorted(clause_variables((c.head,)), key=lambda v: v.name)
+            out.extend((apply(theta, c.head), c.weight_ref)
+                       for theta in substitutions(cvars, universe))
+    return out
+
+
 def fuzzy_min_max_values(template, example_facts):
     """Fuzzy-Datalog valuation: rules take min over the body, atoms take
     the max over rule values (scaled by the clause weight) and fact

@@ -289,6 +289,24 @@ def test_predict_unknown_example_exits_2(tmp_path, capsys):
     assert "'ghost'" in capsys.readouterr().err
 
 
+def test_predict_non_finite_score_exits_2(tmp_path, capsys):
+    # Finite weights overflow: q(a) = inf under godel, and s(a) = 0.0 * inf = nan.
+    files = {"template": "1e300 :: q(X) :- p(X).\n? :: r(X) :- q(X).\n0.0 :: s(X) :- r(X).\n",
+             "examples": "#example e1\n1e300 :: p(a).\n",
+             "queries": "#example e1\n1.0 :: s(a).\n"}
+    for name, text in files.items():
+        (tmp_path / f"{name}.lrnn").write_text(text, encoding="utf-8")
+    out = tmp_path / "scores.csv"
+    rc = main(["predict", "--template", str(tmp_path / "template.lrnn"),
+               "--examples", str(tmp_path / "examples.lrnn"),
+               "--queries", str(tmp_path / "queries.lrnn"), "--family", "godel",
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "e1" in err and "s(a)" in err and "not finite" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name, text", [
     ("template", "1e400 :: female(alice).\n"),
     ("examples", "#example e1\n1e400 :: parent(ann,alice).\n"),

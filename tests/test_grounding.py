@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from lrnn import (Atom, CapacityError, ConstRef, Constant, ParamRef, Variable,
+from lrnn import (Atom, CapacityError, ConstRef, Constant, ParamRef, Variable, apply,
                   ground, least_herbrand_model, parse_examples, parse_template)
 
 from helpers import load_examples, load_template
-from oracles import naive_instances, naive_model, random_nonrecursive_program
+from oracles import (naive_instances, naive_model, naive_template_facts,
+                     random_nonrecursive_program)
 
 
 def _atom(pred, *names):
@@ -161,6 +162,20 @@ def test_instances_match_naive_enumeration():
         g = ground(template, facts)
         got = {(i.clause_id, i.theta) for i in g.instances}
         assert got == naive_instances(template, facts, g.model.atoms), f"seed {seed}"
+        # Instance atoms are the oracle's substitution applied to the clause,
+        # and they are the model's own atom objects.
+        clauses = {c.clause_id: c for c in template.clauses}
+        model_ids = {id(a) for a in g.model.atoms}
+        for inst in g.instances:
+            clause = clauses[inst.clause_id]
+            theta = {Variable(v): Constant(c) for v, c in inst.theta}
+            assert inst.head == apply(theta, clause.head), f"seed {seed}"
+            assert inst.body == tuple(apply(theta, b) for b in clause.body), f"seed {seed}"
+            assert all(id(a) in model_ids for a in (inst.head, *inst.body)), f"seed {seed}"
+        n_template = len(g.ground_facts) - len(facts)
+        assert [(a, r.pid) for a, r in g.ground_facts[:n_template]] == \
+            naive_template_facts(template, facts), f"seed {seed}"
+        assert g.ground_facts[n_template:] == tuple((a, ConstRef(w)) for w, a in facts)
 
 
 # One program per shape the join indexes on; each is checked against the
