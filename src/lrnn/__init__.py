@@ -1,9 +1,10 @@
 """Lifted relational rule templates compiled to trainable neural networks.
 
-A template of weighted definite clauses is grounded against each
-example's facts (least Herbrand model, semi-naive), the active ground
-rules become an example-specific feedforward network, and the clause
-weights shared across all examples are learned by online SGD.
+A non-recursive template of weighted definite clauses is grounded
+against each example's facts (least Herbrand model, one stratified
+bottom-up pass), the active ground rules become an example-specific
+feedforward network, and the clause weights shared across all examples
+are learned by online SGD.
 """
 
 from .activations import (AVG_SIGMOID, FAMILIES, GODEL, MAX_SIGMOID, eval_agg, eval_conj,

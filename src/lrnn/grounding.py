@@ -1,12 +1,14 @@
-"""Least Herbrand model and per-example grounding.
+"""Least Herbrand model and per-example grounding of a non-recursive template.
 
-The model of template rules plus (template and example) facts is
-computed bottom-up with semi-naive evaluation: each round only joins
-rule bodies against tuples derived in the previous round (the delta),
-so nothing is re-derived from scratch.  The grounding then enumerates,
-against the finished model, every substitution that makes a rule body
-true; those are exactly the ground rules that stay active in the least
-model.
+The template's predicates may form no dependency cycle: a recursive
+template raises RecursiveTemplateError (`logic.check_nonrecursive`)
+before any join.  The model is then computed by stratified evaluation in
+one bottom-up pass.  Fact clauses and example facts seed the relations,
+and the rule clauses run in reverse `check_nonrecursive` order, so every
+rule with head p has run before any rule reads p.  Each rule is joined
+once, against body relations that are already complete.  Every match
+adds its head row to the model and is one rule instance active in the
+least model; `ground` keeps them.
 
 Joins are indexed.  Each body atom has key positions: the arguments
 that are a constant or a variable bound by an earlier body atom of the
@@ -14,21 +16,18 @@ same rule.  A body atom with key positions is matched by one lookup in
 a hash index of its relation on those positions; a body atom without
 any (such as a first body atom that holds no constant) scans its
 relation.  An index is built lazily, in one pass over the relation, and
-cached under (signature, key positions, delta or full relation).  A
-cache lives as long as the relations it indexes stay unchanged: one
-semi-naive round in the fixpoint, where relations grow only at the end
-of a round, and the whole enumeration in `ground`.  Each bucket keeps
-the relation's iteration order, so a lookup yields the same rows in the
-same order as the scan it replaces.
+cached under (signature, key positions).  One cache serves the whole
+pass: a relation is read only once it is complete, so no index goes
+stale.  Each bucket keeps the relation's iteration order, so a lookup
+yields the same rows in the same order as the scan it replaces.
 
 Variables occurring only in a clause head (including facts written with
 variables) range over the full constant universe of template + example.
 
-Each ground atom is built once, by the model.  The head and body atoms
-of every rule instance, and the atoms of template ground facts, are the
-model's own `Atom` objects, looked up by (predicate, argument names);
-every one of them is a model atom, since an instance is active only when
-its body holds in the model, which then holds its head as well.
+Each ground atom is built once, from the finished relations.  The head
+and body atoms of every rule instance, and the atoms of template ground
+facts, are the model's own `Atom` objects, looked up by (predicate,
+argument names).
 
 One budget, `capacity`, bounds the grounding work: the model may hold
 at most that many atoms, and model atoms plus distinct rule instances
@@ -39,7 +38,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CapacityError
-from .logic import Atom, Constant, Template
+from .logic import Atom, Constant, Template, check_nonrecursive
 
 DEFAULT_CAPACITY = 10**7
 
@@ -112,9 +111,10 @@ def _fact_rows(clause, universe):
 
 
 class _Rule:
-    __slots__ = ("head_sig", "head_pat", "body_pats", "body", "head_only")
+    __slots__ = ("clause_id", "head_sig", "head_pat", "body_pats", "body", "head_only")
 
     def __init__(self, clause):
+        self.clause_id = clause.clause_id
         self.head_sig = clause.head.signature
         self.head_pat = _compile_pattern(clause.head)
         self.body_pats = tuple((b.pred, _compile_pattern(b)) for b in clause.body)
@@ -131,29 +131,25 @@ class _Rule:
         self.head_only = sorted(v.name for v in clause.head_only_variables())
 
 
-def _index(indexes: dict, sig, key_pos: tuple, in_delta: bool, source) -> dict:
+def _index(indexes: dict, sig, key_pos: tuple, source) -> dict:
     """Rows of source bucketed by their values at key_pos, cached."""
-    cache_key = (sig, key_pos, in_delta)
-    index = indexes.get(cache_key)
+    index = indexes.get((sig, key_pos))
     if index is None:
-        index = indexes[cache_key] = {}
+        index = indexes[sig, key_pos] = {}
         for row in source:
             index.setdefault(tuple([row[i] for i in key_pos]), []).append(row)
     return index
 
 
-def _join(rule: _Rule, relations, delta_pos: int | None, delta, indexes: dict) -> list:
-    """All substitutions satisfying the body; position delta_pos (if any)
-    must match the delta relation instead of the full one.  indexes is
-    the cache of relation indexes, valid while relations and delta stay
-    unchanged."""
+def _join(rule: _Rule, relations, indexes: dict) -> list:
+    """All substitutions satisfying the body.  indexes is the cache of
+    relation indexes, valid while the body relations stay unchanged."""
     substs = [{}]
-    for pos, (sig, key_pos, key_pat, free) in enumerate(rule.body):
-        in_delta = pos == delta_pos
-        source = (delta if in_delta else relations).get(sig, ())
+    for sig, key_pos, key_pat, free in rule.body:
+        source = relations.get(sig, ())
         if not source:
             return []
-        index = _index(indexes, sig, key_pos, in_delta, source) if key_pos else None
+        index = _index(indexes, sig, key_pos, source) if key_pos else None
         extended = []
         for subst in substs:
             if index is None:
@@ -182,106 +178,96 @@ def _head_expansions(rule: _Rule, subst, universe):
         yield full
 
 
-def _collect_inputs(template: Template, example_facts):
-    """Split into compiled rules, ground seed tuples, and the universe."""
-    constants = set()
-    for c in template.clauses:
-        for atom in (c.head, *c.body):
-            constants.update(t.name for t in atom.args if isinstance(t, Constant))
-    for _, atom in example_facts:
-        constants.update(t.name for t in atom.args)
+def _evaluate(template: Template, example_facts, capacity: int, on_match=None) -> tuple:
+    """The one bottom-up pass: (relations, universe, rules).
+
+    relations maps each signature to its set of argument-name rows, the
+    universe is the sorted constant names, and rules are the compiled
+    rule clauses in template order.  Every new row counts against
+    capacity.  When on_match is given, every match counts as well and is
+    handed over as on_match(rule, substitution) once its head row is in.
+    Matches of one rule are distinct substitutions: they bind distinct
+    rows of sets, then each distinct head-only variable to a constant.
+    """
+    rank = {sig: i for i, sig in enumerate(check_nonrecursive(template))}
+    constants = {t.name for c in template.clauses for atom in (c.head, *c.body)
+                 for t in atom.args if isinstance(t, Constant)}
+    constants.update(t.name for _, atom in example_facts for t in atom.args)
     universe = tuple(sorted(constants))
 
-    rules = [_Rule(c) for c in template.clauses if not c.is_fact]
     # Fact clauses seed the relations; variable heads expand over the universe.
-    seeds = [(c.head.signature, row) for c in template.clauses if c.is_fact
-             for row in _fact_rows(c, universe)]
+    relations = {}
+    for c in template.clauses:
+        if c.is_fact:
+            relations.setdefault(c.head.signature, set()).update(_fact_rows(c, universe))
     for _, atom in example_facts:
-        seeds.append((atom.signature, tuple(t.name for t in atom.args)))
-    return rules, seeds, universe
-
-
-def least_herbrand_model(template: Template, example_facts=(), capacity: int = DEFAULT_CAPACITY) -> HerbrandModel:
-    """Semi-naive bottom-up fixpoint of the immediate-consequence operator."""
-    rules, seeds, universe = _collect_inputs(template, example_facts)
-    relations, delta, count = {}, {}, 0
-    for sig, row in seeds:
-        rel = relations.setdefault(sig, set())
-        if row not in rel:
-            rel.add(row)
-            delta.setdefault(sig, set()).add(row)
-            count += 1
+        relations.setdefault(atom.signature, set()).add(tuple([t.name for t in atom.args]))
+    count = sum(len(rows) for rows in relations.values())
     if count > capacity:
         raise CapacityError(count, capacity)
 
-    while delta:
-        fresh, indexes = {}, {}
-        for rule in rules:
-            for pos in range(len(rule.body)):
-                if rule.body[pos][0] not in delta:
-                    continue
-                for subst in _join(rule, relations, pos, delta, indexes):
-                    for full in _head_expansions(rule, subst, universe):
-                        row = _instantiate(rule.head_pat, full)
-                        rel = relations.get(rule.head_sig)
-                        if rel is not None and row in rel:
-                            continue
-                        if row not in fresh.setdefault(rule.head_sig, set()):
-                            fresh[rule.head_sig].add(row)
-                            count += 1
-                            if count > capacity:
-                                raise CapacityError(count, capacity)
-        for sig, rows in fresh.items():
-            relations.setdefault(sig, set()).update(rows)
-        delta = fresh
+    def charge():
+        nonlocal count
+        count += 1
+        if count > capacity:
+            raise CapacityError(count, capacity)
 
-    atoms = frozenset(Atom(pred, tuple(Constant(n) for n in row))
-                      for (pred, _), rows in relations.items() for row in rows)
-    return HerbrandModel(atoms, universe)
+    rules = [_Rule(c) for c in template.clauses if not c.is_fact]
+    indexes = {}
+    # Bodies before heads: all rules with head p run before any rule reads p.
+    for rule in sorted(rules, key=lambda r: -rank[r.head_sig]):
+        head = relations.setdefault(rule.head_sig, set())
+        for subst in _join(rule, relations, indexes):
+            for full in _head_expansions(rule, subst, universe):
+                row = _instantiate(rule.head_pat, full)
+                if row not in head:
+                    head.add(row)
+                    charge()
+                if on_match is not None:
+                    charge()
+                    on_match(rule, full)
+    return relations, universe, rules
+
+
+def _atoms(relations) -> dict:
+    """(predicate, argument names) -> the model's Atom, one per row."""
+    return {(pred, row): Atom(pred, tuple([Constant(n) for n in row]))
+            for (pred, _), rows in relations.items() for row in rows}
+
+
+def least_herbrand_model(template: Template, example_facts=(), capacity: int = DEFAULT_CAPACITY) -> HerbrandModel:
+    """Stratified bottom-up model of a non-recursive template; capacity bounds its atoms."""
+    relations, universe, _ = _evaluate(template, example_facts, capacity)
+    return HerbrandModel(frozenset(_atoms(relations).values()), universe)
 
 
 def ground(template: Template, example_facts=(), capacity: int = DEFAULT_CAPACITY) -> Grounding:
     """All rule instances active in the least model, plus weighted ground facts.
 
-    Instances are deduplicated on (clause, theta restricted to the
-    clause's variables) and ordered by (clause ordinal, theta); facts
-    come template-first in clause order, then example facts in input
-    order.
+    Instances are the matches of the model's own pass, one per (clause,
+    theta), ordered by (clause ordinal, theta); facts come template-first
+    in clause order, then example facts in input order.
     """
-    model = least_herbrand_model(template, example_facts, capacity)
-    relations, table = {}, {}  # table: (pred, argument names) -> the model's Atom
-    for atom in model.atoms:
-        row = tuple([t.name for t in atom.args])
-        relations.setdefault(atom.signature, set()).add(row)
-        table[atom.pred, row] = atom
+    matches = {}  # rule -> [(theta, substitution)]
 
-    instances, indexes, count = [], {}, len(model.atoms)
-    for clause in template.clauses:
-        if clause.is_fact:
-            continue
-        rule = _Rule(clause)
-        head_pred = clause.head.pred
-        seen = set()
-        found = []
-        for subst in _join(rule, relations, None, {}, indexes):
-            for full in _head_expansions(rule, subst, model.universe):
-                theta = tuple(sorted(full.items()))
-                if theta in seen:
-                    continue
-                seen.add(theta)
-                count += 1
-                if count > capacity:
-                    raise CapacityError(count, capacity)
-                head = table[head_pred, _instantiate(rule.head_pat, full)]
-                body = tuple([table[pred, _instantiate(pattern, full)]
-                              for pred, pattern in rule.body_pats])
-                found.append(GroundRuleInstance(clause.clause_id, theta, head, body))
-        found.sort(key=lambda inst: inst.theta)
-        instances.extend(found)
+    def keep(rule, full):
+        matches.setdefault(rule, []).append((tuple(sorted(full.items())), full))
+
+    relations, universe, rules = _evaluate(template, example_facts, capacity, keep)
+    table = _atoms(relations)
+    instances = []
+    for rule in rules:
+        head_pred = rule.head_sig[0]
+        for theta, full in sorted(matches.get(rule, ()), key=lambda match: match[0]):
+            head = table[head_pred, _instantiate(rule.head_pat, full)]
+            body = tuple([table[pred, _instantiate(pattern, full)]
+                          for pred, pattern in rule.body_pats])
+            instances.append(GroundRuleInstance(rule.clause_id, theta, head, body))
 
     ground_facts = [(table[c.head.pred, row], ParamRef(c.weight_ref))
                     for c in template.clauses if c.is_fact
-                    for row in _fact_rows(c, model.universe)]
+                    for row in _fact_rows(c, universe)]
     ground_facts.extend((atom, ConstRef(weight)) for weight, atom in example_facts)
 
+    model = HerbrandModel(frozenset(table.values()), universe)
     return Grounding(model, tuple(instances), tuple(ground_facts))

@@ -119,7 +119,7 @@ class WeightedClause:
         body_vars = set()
         for atom in self.body:
             body_vars.update(atom.variables())
-        return [v for v in self.head.variables() if v not in body_vars]
+        return list(dict.fromkeys(v for v in self.head.variables() if v not in body_vars))
 
     def __str__(self):
         return render_clause(self)
@@ -213,24 +213,28 @@ class Template:
         return _conj_offset_pid(clause)
 
     def disj_offset_pid(self, signature: tuple) -> str | None:
-        return _disj_offset_pid(self.clauses, signature)
+        return _disj_offset_pids(self.clauses).get(signature)
+
+    def disj_offset_pids(self) -> dict:
+        return _disj_offset_pids(self.clauses)
 
 
 def _conj_offset_pid(clause: WeightedClause) -> str:
     return f"{clause.clause_id}:{KIND_CONJ}"
 
 
-def _disj_offset_pid(clauses, signature: tuple) -> str | None:
-    """Offset parameter of atom neurons for this head predicate.
+def _disj_offset_pids(clauses) -> dict:
+    """Head signature -> offset parameter of its atom neurons.
 
     Keyed by the first rule clause with that head so the id stays
     inside the parameter-file grammar; predicates never heading a
     rule have fact-only atom neurons, which take no offset.
     """
+    pids = {}
     for c in clauses:
-        if not c.is_fact and c.head.signature == signature:
-            return f"{c.clause_id}:{KIND_DISJ}"
-    return None
+        if not c.is_fact:
+            pids.setdefault(c.head.signature, f"{c.clause_id}:{KIND_DISJ}")
+    return pids
 
 
 def make_template(clauses, source: str = "template", family: str = "ms") -> Template:
@@ -240,10 +244,11 @@ def make_template(clauses, source: str = "template", family: str = "ms") -> Temp
         kinds[c.weight_ref] = KIND_WEIGHT
         if c.weight is None:
             learnable.add(c.weight_ref)
+    disj_pids = _disj_offset_pids(clauses)
     for c in clauses:
         if c.is_fact:
             continue
-        conj, disj = _conj_offset_pid(c), _disj_offset_pid(clauses, c.head.signature)
+        conj, disj = _conj_offset_pid(c), disj_pids[c.head.signature]
         values[conj], kinds[conj] = CONJ_OFFSET_INIT, KIND_CONJ
         learnable.add(conj)
         if disj not in values:  # added at the head's first rule clause

@@ -79,7 +79,9 @@ def build(grounding: Grounding, template: Template, example_id: str | None = Non
     atoms = {inst.head for inst in grounding.instances}
     atoms.update(atom for atom, _ in grounding.ground_facts)
 
-    clause_by_id = {c.clause_id: c for c in template.clauses}
+    clause_refs = {c.clause_id: (ParamRef(c.weight_ref), template.conj_offset_pid(c))
+                   for c in template.clauses if not c.is_fact}
+    disj_offset = template.disj_offset_pids()
     grouped = {}  # head atom -> {clause_id: [instances]} in encounter order
     for inst in grounding.instances:
         grouped.setdefault(inst.head, {}).setdefault(inst.clause_id, []).append(inst)
@@ -99,20 +101,19 @@ def build(grounding: Grounding, template: Template, example_id: str | None = Non
     for atom in sorted(atoms, key=emission_key):
         agg_inputs, agg_weights = [], []
         for clause_id, insts in grouped.get(atom, {}).items():
-            clause = clause_by_id[clause_id]
+            weight, conj_offset = clause_refs[clause_id]
             origin = (clause_id, atom)
             rule_ids = []
             for inst in insts:
                 body_ids = [outputs[b] for b in inst.body]
-                rule_ids.append(emit(RULE, origin, body_ids, [_UNIT] * len(body_ids),
-                                     template.conj_offset_pid(clause)))
+                rule_ids.append(emit(RULE, origin, body_ids, [_UNIT] * len(body_ids), conj_offset))
             agg_id = emit(AGG, origin, rule_ids, [_UNIT] * len(rule_ids))
             agg_inputs.append(agg_id)
-            agg_weights.append(ParamRef(clause.weight_ref))
+            agg_weights.append(weight)
         for fact_id, ref in facts_by_atom.get(atom, ()):
             agg_inputs.append(fact_id)
             agg_weights.append(ref)
-        offset = template.disj_offset_pid(atom.signature) if grouped.get(atom) else None
+        offset = disj_offset[atom.signature] if atom in grouped else None
         outputs[atom] = emit(ATOM, atom, agg_inputs, agg_weights, offset)
 
     return GroundNetwork(neurons, outputs, example_id)

@@ -10,7 +10,8 @@ after each example's queries are backpropagated, weights move at once by
 w <- w - lr * grad.  Restarts redraw the learnable weights from
 Uniform(init_range) with seeds derived from the master seed, and the
 restart with the lowest final training cost wins; a restart whose
-parameters go non-finite is skipped and noted in the report.
+parameters or final cost go non-finite is skipped and noted in the
+report.
 """
 
 import hashlib
@@ -273,6 +274,9 @@ def train(task: TrainingTask, compiled: CompiledTask | None = None) -> tuple:
                 report.curves.append((restart, epoch, final))
         except DivergenceError as err:
             report.skipped.append((restart, str(err)))
+            continue
+        if not math.isfinite(final):
+            report.skipped.append((restart, f"final cost {final!r} is not finite"))
             continue
         report.finals.append((restart, final))
         if best is None or final < best[0]:

@@ -189,6 +189,24 @@ def test_train_non_finite_init_range_exits_2(tmp_path, capsys, bounds):
     assert "init_range" in capsys.readouterr().err
 
 
+def test_train_non_finite_final_cost_exits_2(tmp_path, capsys):
+    # Nothing to learn, and s(a) = 0.0 * inf = nan under godel: every restart ends at cost nan.
+    files = {"template": "1e300 :: q(X) :- p(X).\n0.0 :: s(X) :- q(X).\n",
+             "examples": "#example e1\n1e300 :: p(a).\n#example e2\n1e300 :: p(a).\n",
+             "queries": "#example e1\n1.0 :: s(a).\n#example e2\n0.0 :: s(a).\n"}
+    for name, text in files.items():
+        (tmp_path / f"{name}.lrnn").write_text(text, encoding="utf-8")
+    rc = main(["train", "--template", str(tmp_path / "template.lrnn"),
+               "--examples", str(tmp_path / "examples.lrnn"),
+               "--queries", str(tmp_path / "queries.lrnn"), "--family", "godel",
+               "--epochs", "2", "--restarts", "2", "--out-params", str(tmp_path / "params.txt")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "all restarts diverged" in captured.err
+    assert "final_cost" not in captured.out
+    assert not (tmp_path / "params.txt").exists()
+
+
 def test_train_freeze_offsets_keeps_initial_offsets(tmp_path):
     template, examples, queries = _bond_files(tmp_path, 6)
     rc = main(_train_args(tmp_path, template, examples, queries, freeze_offsets=True))

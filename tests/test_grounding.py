@@ -3,9 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from lrnn import (Atom, CapacityError, ConstRef, Constant, ParamRef, Variable, apply,
-                  ground, least_herbrand_model, parse_examples, parse_template)
+from lrnn import (Atom, CapacityError, ConstRef, Constant, ParamRef, RecursiveTemplateError,
+                  Variable, apply, ground, grounding, least_herbrand_model, parse_examples,
+                  parse_template)
 
 from helpers import load_examples, load_template
 from oracles import (naive_instances, naive_model, naive_template_facts,
@@ -106,6 +109,13 @@ def test_head_only_variable_expands():
     assert thetas == {(("X", "u"), ("Y", "u")), (("X", "u"), ("Y", "v"))}
 
 
+def test_repeated_head_only_variable_expands_once():
+    t = parse_template("1.0 :: p1(V,V) :- p0.\n1.0 :: c(a).\n1.0 :: c(b).", "src")
+    g = ground(t, ((1.0, _atom("p0")),))
+    assert [(str(i.head), i.theta) for i in g.instances] == [
+        ("p1(a,a)", (("V", "a"),)), ("p1(b,b)", (("V", "b"),))]
+
+
 def test_constants_inside_rules_join():
     t = parse_template("1.0 :: q(X) :- p(X,a).", "src")
     facts = ((1.0, _atom("p", "b", "a")), (1.0, _atom("p", "b", "c")))
@@ -178,8 +188,19 @@ def test_instances_match_naive_enumeration():
         assert g.ground_facts[n_template:] == tuple((a, ConstRef(w)) for w, a in facts)
 
 
+@given(st.randoms(use_true_random=False))
+def test_grounding_matches_oracles_on_drawn_programs(rng):
+    # The program is drawn from Hypothesis's random, so a failing one shrinks.
+    template, facts = random_nonrecursive_program(rng)
+    g = ground(template, facts)
+    assert g.model.atoms == naive_model(template, facts)
+    got = [(i.clause_id, i.theta) for i in g.instances]
+    assert len(got) == len(set(got))
+    assert set(got) == naive_instances(template, facts, g.model.atoms)
+
+
 # One program per shape the join indexes on; each is checked against the
-# oracle, and later rules read relations derived in earlier rounds.
+# oracle, and later rules read relations that earlier strata derived.
 _GRAPH = ("#example g\n"
           "1.0 :: e(a,a). 1.0 :: e(a,b). 1.0 :: e(b,c). 1.0 :: e(c,a). 1.0 :: e(b,b).\n"
           "1.0 :: e(c,b). 1.0 :: e(c,d). 1.0 :: n(a). 1.0 :: n(b). 1.0 :: flag.\n"
@@ -194,8 +215,8 @@ SHAPES = {
                         "1.0 :: u(X) :- tri(X,Y,Z), sym(X,Y), n(X).",
     "head_only_variable": "1.0 :: h(X,W) :- e(X,Y), n(Y).\n1.0 :: k(W) :- flag.\n"
                           "1.0 :: m(X,V) :- h(X,X), k(X).",
-    # q grows in two rounds, so in the third one body atom of `both` reads
-    # q's delta and the other, with the same key positions, all of q.
+    # q has two rules, one reading the derived m, and `both` reads the
+    # finished q twice with the same key positions: one index serves both.
     "delta_and_full_index": "1.0 :: q(X) :- n(X).\n1.0 :: m(X) :- e(X,d).\n"
                             "1.0 :: q(X) :- m(X).\n1.0 :: both(X,Y) :- e(X,Y), q(X), q(Y).",
     "zero_ary_body_atom": "1.0 :: q(X) :- flag, n(X).\n1.0 :: r(X) :- n(X), flag.\n"
@@ -214,6 +235,32 @@ def test_join_shapes_match_oracle(shape):
     assert set(got) == naive_instances(template, example.facts, g.model.atoms)
     for clause in [c for c in template.clauses if not c.is_fact]:
         assert any(cid == clause.clause_id for cid, _ in got), clause
+
+
+def test_ground_joins_each_rule_clause_once(monkeypatch):
+    template = load_template("generic_chains")
+    example = load_examples("generic_chains")[0]
+    calls = []
+    real_join = grounding._join
+
+    def counting_join(rule, *args):
+        calls.append(rule)
+        return real_join(rule, *args)
+
+    monkeypatch.setattr(grounding, "_join", counting_join)
+    ground(template, example.facts)
+    assert sum(not c.is_fact for c in template.clauses) == 24
+    assert len(calls) == 24  # one join per rule clause
+    assert len({id(rule) for rule in calls}) == 24
+
+
+def test_recursive_template_rejected_by_grounding():
+    t = parse_template("1.0 :: p(X) :- q(X).\n1.0 :: q(X) :- p(X).", "src")
+    facts = ((1.0, _atom("p", "a")),)
+    for fn in (ground, least_herbrand_model):
+        with pytest.raises(RecursiveTemplateError) as exc:
+            fn(t, facts)
+        assert set(exc.value.cycle) == {("p", 1), ("q", 1)}
 
 
 def test_adding_a_fact_is_monotone():

@@ -327,6 +327,24 @@ def test_partial_restart_failure_is_skipped(monkeypatch):
     assert report.best_restart in (1, 2)
 
 
+def test_non_finite_final_cost_restart_is_skipped(monkeypatch):
+    task = _tiny_task(restarts=3, epochs=2, seed=5)
+    real_epoch = training.sgd_epoch
+    calls = []
+
+    def nan_first_restart(*args, **kwargs):
+        calls.append(1)
+        final = real_epoch(*args, **kwargs)
+        return math.nan if len(calls) <= 2 else final
+
+    monkeypatch.setattr(training, "sgd_epoch", nan_first_restart)
+    _params, report = train(task)
+    assert [r for r, _reason in report.skipped] == [0]
+    assert "not finite" in report.skipped[0][1]
+    assert {r for r, _ in report.finals} == {1, 2}
+    assert report.best_restart in (1, 2)
+
+
 # ---------------------------------------------------------------------------
 # Configuration validation
 
