@@ -38,7 +38,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CapacityError
-from .logic import Atom, Constant, Template, check_nonrecursive
+from .logic import Atom, Constant, Template
 
 DEFAULT_CAPACITY = 10**7
 
@@ -189,7 +189,7 @@ def _evaluate(template: Template, example_facts, capacity: int, on_match=None) -
     Matches of one rule are distinct substitutions: they bind distinct
     rows of sets, then each distinct head-only variable to a constant.
     """
-    rank = {sig: i for i, sig in enumerate(check_nonrecursive(template))}
+    rank = template._strata
     constants = {t.name for c in template.clauses for atom in (c.head, *c.body)
                  for t in atom.args if isinstance(t, Constant)}
     constants.update(t.name for _, atom in example_facts for t in atom.args)

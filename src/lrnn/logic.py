@@ -4,15 +4,24 @@ Grammar (shared by template, example and query files):
 
     statement := weight "::" atom [ ":-" atom { "," atom } ] "."
     weight    := decimal | "?"
+    decimal   := ["-"] digits ["." digits] [("e" | "E") ["+" | "-"] digits]
     atom      := predicate [ "(" term { "," term } ")" ]
     term      := constant | Variable
-    constant  := [a-z][A-Za-z0-9_]* | single-quoted string
-    Variable  := [A-Z][A-Za-z0-9_]*
+    predicate := word whose first letter is not uppercase
+    constant  := word whose first letter is not uppercase | quoted
+    Variable  := word whose first letter is uppercase
+    word      := letter { letter | digit | "_" }
+    quoted    := "'" { any character but "'", "\\" or newline | "\\" any character } "'"
 
-"%" starts a line comment.  Example and query files additionally use
-"#example <id>" section headers: weights in example files are fixed
-decimals on ground facts, and in query files the weight slot carries a
-target value in [0, 1].
+Letters and digits are Unicode ones (`str.isalpha`, `str.isalnum`,
+`str.isupper`), so `ärger` is a constant and `Ärger` a variable; the
+digits of a decimal are decimal digits (`str.isdecimal`).  Blanks are
+space, tab and newline, "\\r\\n" reads as a newline, and "%" starts a
+comment that runs to the end of the line.  Example and query files
+additionally use "#example <id>" section headers, the id made of ASCII
+letters, digits, "_", "." and "-", and a comment may follow a header.
+Weights in example files are fixed decimals on ground facts, and in
+query files the weight slot carries a target value in [0, 1].
 
 Clause identity is positional, `<source>:<ordinal>` with 0-based
 ordinals, so parameter ids survive re-parsing the same file.  A weight
@@ -22,7 +31,8 @@ hold one `param <id> = <decimal>` line per parameter.
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .activations import CONJ_OFFSET_INIT, DISJ_OFFSET_INIT
 from .errors import ParseError, RecursiveTemplateError
@@ -218,6 +228,15 @@ class Template:
     def disj_offset_pids(self) -> dict:
         return _disj_offset_pids(self.clauses)
 
+    @cached_property
+    def _strata(self) -> dict:
+        """Signature -> its index in `check_nonrecursive` order, heads first.
+
+        Computed once per template; RecursiveTemplateError propagates
+        and nothing is cached, so every later read raises again.
+        """
+        return {sig: i for i, sig in enumerate(check_nonrecursive(self))}
+
 
 def _conj_offset_pid(clause: WeightedClause) -> str:
     return f"{clause.clause_id}:{KIND_CONJ}"
@@ -320,131 +339,79 @@ def _find_cycle(edges, remaining):
 _BARE_CONST = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 _EXAMPLE_ID = re.compile(r"[A-Za-z0-9_.\-]+\Z")
 
+# One token per match, after blanks and "%" comments.  A word is a
+# letter then letters, digits or "_" (checked with str.isalpha, which no
+# regex class expresses); anything else matches the empty `bad` group,
+# and _Parser.token names the fault from the character found there.
+_TOKEN = re.compile(r"""(?:[ \t\n]|%[^\n]*)*(?:
+      (?P<header>\#[^\n%]*)
+    | (?P<punct>::|:-|[(),.?])
+    | (?P<number>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+    | (?P<qconst>'(?:[^'\\\n]|\\[\s\S])*')
+    | (?P<word>[^\W\d_]\w*)
+    | (?P<eof>\Z)
+    | (?P<bad>))""", re.VERBOSE)
+_ESCAPE = re.compile(r"\\([\s\S])")
+_PUNCT = {"::": "weightsep", ":-": "implies", "(": "lparen", ")": "rparen",
+          ",": "comma", ".": "dot", "?": "qmark"}
 
-class _Scanner:
-    """Single-pass tokenizer with 1-based line/col tracking."""
+
+class _Parser:
+    """Recursive descent over (kind, value, offset) tokens, one lookahead."""
 
     def __init__(self, text: str, source: str, allow_headers: bool):
         self.text = text.replace("\r\n", "\n")
         self.source = source
         self.allow_headers = allow_headers
-        self.i = 0
-        self.line = 1
-        self.col = 1
+        self.pos = 0
+        self.tok = self.token()
 
-    def error(self, msg: str, line=None, col=None):
-        raise ParseError(msg, self.source, self.line if line is None else line,
-                         self.col if col is None else col)
+    def error(self, msg: str, i: int):
+        """Raise at offset i, as a 1-based line and column."""
+        text = self.text
+        raise ParseError(msg, self.source, text.count("\n", 0, i) + 1, i - text.rfind("\n", 0, i))
 
-    def _advance(self, n: int):
-        for _ in range(n):
-            if self.text[self.i] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.i += 1
-
-    def _skip_blank(self):
-        while self.i < len(self.text):
-            ch = self.text[self.i]
-            if ch in " \t\n":
-                self._advance(1)
-            elif ch == "%":
-                while self.i < len(self.text) and self.text[self.i] != "\n":
-                    self._advance(1)
-            else:
-                return
-
-    def next(self) -> tuple:
-        """Return (kind, value, line, col)."""
-        self._skip_blank()
-        if self.i >= len(self.text):
-            return ("eof", None, self.line, self.col)
-        line, col = self.line, self.col
-        ch = self.text[self.i]
-        if ch == "#":
+    def token(self) -> tuple:
+        m = _TOKEN.match(self.text, self.pos)
+        self.pos = m.end()
+        kind = m.lastgroup
+        value, i = m.group(kind), m.start(kind)
+        if kind == "punct":
+            return (_PUNCT[value], value, i)
+        if kind == "word" and value[0].isalpha():
+            return ("var" if value[0].isupper() else "ident", value, i)
+        if kind == "number":
+            number = float(value)
+            if not math.isfinite(number):
+                self.error(f"number {value} is out of range", i)
+            return ("number", number, i)
+        if kind == "qconst":
+            return ("qconst", _ESCAPE.sub(r"\1", value[1:-1]), i)
+        if kind == "header":
             if not self.allow_headers:
-                self.error("'#example' headers are not allowed in this file")
-            end = self.text.find("\n", self.i)
-            if end < 0:
-                end = len(self.text)
-            header = self.text[self.i:end]
-            self._advance(end - self.i)
-            parts = header.split()
+                self.error("'#example' headers are not allowed in this file", i)
+            parts = value.split()
             if len(parts) != 2 or parts[0] != "#example" or not _EXAMPLE_ID.match(parts[1]):
-                self.error("malformed header, expected '#example <id>'", line, col)
-            return ("header", parts[1], line, col)
+                self.error("malformed header, expected '#example <id>'", i)
+            return ("header", parts[1], i)
+        if kind == "eof":
+            return ("eof", None, i)
+        ch = self.text[i]
         if ch == ":":
-            nxt = self.text[self.i + 1:self.i + 2]
-            if nxt == ":":
-                self._advance(2)
-                return ("weightsep", "::", line, col)
-            if nxt == "-":
-                self._advance(2)
-                return ("implies", ":-", line, col)
-            self.error("expected '::' or ':-'")
-        if ch in "(),.?":
-            self._advance(1)
-            return ({"(": "lparen", ")": "rparen", ",": "comma", ".": "dot", "?": "qmark"}[ch], ch, line, col)
+            self.error("expected '::' or ':-'", i)
         if ch == "-" or ch.isdigit():
-            return self._number(line, col)
+            self.error("malformed number", i)
         if ch == "'":
-            return self._quoted(line, col)
-        if ch.isalpha():
-            j = self.i
-            while j < len(self.text) and (self.text[j].isalnum() or self.text[j] == "_"):
-                j += 1
-            word = self.text[self.i:j]
-            self._advance(j - self.i)
-            kind = "var" if word[0].isupper() else "ident"
-            return (kind, word, line, col)
-        self.error(f"unexpected character {ch!r}")
-
-    def _number(self, line, col):
-        m = re.compile(r"-?\d+(\.\d+)?([eE][+-]?\d+)?").match(self.text, self.i)
-        if not m:
-            self.error("malformed number")
-        value = float(m.group(0))
-        if not math.isfinite(value):
-            self.error(f"number {m.group(0)} is out of range", line, col)
-        self._advance(m.end() - self.i)
-        return ("number", value, line, col)
-
-    def _quoted(self, line, col):
-        chars = []
-        j = self.i + 1
-        while True:
-            if j >= len(self.text) or self.text[j] == "\n":
-                self.error("unterminated quoted constant", line, col)
-            ch = self.text[j]
-            if ch == "\\":
-                if j + 1 >= len(self.text):
-                    self.error("unterminated quoted constant", line, col)
-                chars.append(self.text[j + 1])
-                j += 2
-            elif ch == "'":
-                j += 1
-                break
-            else:
-                chars.append(ch)
-                j += 1
-        self._advance(j - self.i)
-        return ("qconst", "".join(chars), line, col)
-
-
-class _Parser:
-    def __init__(self, text: str, source: str, allow_headers: bool):
-        self.sc = _Scanner(text, source, allow_headers)
-        self.tok = self.sc.next()
+            self.error("unterminated quoted constant", i)
+        self.error(f"unexpected character {ch!r}", i)
 
     def _shift(self):
-        tok, self.tok = self.tok, self.sc.next()
+        tok, self.tok = self.tok, self.token()
         return tok
 
     def _expect(self, kind: str, what: str):
         if self.tok[0] != kind:
-            self.sc.error(f"expected {what}", self.tok[2], self.tok[3])
+            self.error(f"expected {what}", self.tok[2])
         return self._shift()
 
     def atom(self) -> Atom:
@@ -460,18 +427,18 @@ class _Parser:
         return Atom(pred, tuple(args))
 
     def term(self) -> Term:
-        kind, value, line, col = self.tok
+        kind, value, i = self.tok
         if kind in ("ident", "qconst"):
             self._shift()
             return Constant(value)
         if kind == "var":
             self._shift()
             return Variable(value)
-        self.sc.error("expected a constant or variable", line, col)
+        self.error("expected a constant or variable", i)
 
     def clause_statement(self) -> tuple:
         """Parse one `weight :: head [:- body].`; returns (weight|None, head, body)."""
-        kind, value, line, col = self.tok
+        kind, value, i = self.tok
         if kind == "qmark":
             self._shift()
             weight = None
@@ -479,7 +446,7 @@ class _Parser:
             self._shift()
             weight = value
         else:
-            self.sc.error("expected a weight ('?' or decimal)", line, col)
+            self.error("expected a weight ('?' or decimal)", i)
         self._expect("weightsep", "'::'")
         head = self.atom()
         body = []
@@ -513,24 +480,24 @@ def parse_examples(text: str, source: str = "examples") -> list:
             examples.append(Example(current, tuple(facts)))
 
     while p.tok[0] != "eof":
-        if p.tok[0] == "header":
+        kind, value, i = p.tok
+        if kind == "header":
+            if value in ids:
+                p.error(f"duplicate example id {value!r}", i)
+            ids.add(value)
             close()
-            current = p._shift()[1]
-            if current in ids:
-                p.sc.error(f"duplicate example id {current!r}")
-            ids.add(current)
-            facts = []
+            current, facts = value, []
+            p._shift()
             continue
-        _, _, line, col = p.tok
         if current is None:
-            p.sc.error("facts must appear under an '#example <id>' header", line, col)
+            p.error("facts must appear under an '#example <id>' header", i)
         weight, head, body = p.clause_statement()
         if weight is None:
-            p.sc.error("example facts need a fixed decimal weight, not '?'", line, col)
+            p.error("example facts need a fixed decimal weight, not '?'", i)
         if body:
-            p.sc.error("examples may contain only facts (no ':-' bodies)", line, col)
+            p.error("examples may contain only facts (no ':-' bodies)", i)
         if not head.is_ground():
-            p.sc.error(f"example fact {head} is not ground", line, col)
+            p.error(f"example fact {head} is not ground", i)
         facts.append((weight, head))
     close()
     return examples

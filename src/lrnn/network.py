@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from .activations import (AGGREGATION, CONJUNCTION, DISJUNCTION, WEIGHTED_SUM, eval_agg,
                           eval_conj, eval_disj)
 from .grounding import ConstRef, Grounding, ParamRef
-from .logic import Atom, Template, check_nonrecursive, ground_atom_key
+from .logic import Atom, Template, ground_atom_key
 
 FACT, ATOM, RULE, AGG = 0, 1, 2, 3
 
@@ -66,13 +66,12 @@ class GroundNetwork:
 
 
 def build(grounding: Grounding, template: Template, example_id: str | None = None) -> GroundNetwork:
-    ordering = check_nonrecursive(template)
-    position = {sig: i for i, sig in enumerate(ordering)}
+    position = template._strata
 
     def emission_key(atom: Atom) -> tuple:
         # Example-only predicates are pure leaves and go first; template
         # predicates go body-before-head (reverse of the head-first order).
-        rank = len(ordering) - position[atom.signature] if atom.signature in position else 0
+        rank = len(position) - position[atom.signature] if atom.signature in position else 0
         return (rank, ground_atom_key(atom))
 
     # Every body atom is a fact or the head of an active instance.

@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lrnn import (Atom, CapacityError, ConstRef, Constant, ParamRef, RecursiveTemplateError,
-                  Variable, apply, ground, grounding, least_herbrand_model, parse_examples,
-                  parse_template)
+                  Variable, apply, build, check_nonrecursive, ground, grounding,
+                  least_herbrand_model, logic, parse_examples, parse_template)
 
 from helpers import load_examples, load_template
 from oracles import (naive_instances, naive_model, naive_template_facts,
@@ -257,10 +257,26 @@ def test_ground_joins_each_rule_clause_once(monkeypatch):
 def test_recursive_template_rejected_by_grounding():
     t = parse_template("1.0 :: p(X) :- q(X).\n1.0 :: q(X) :- p(X).", "src")
     facts = ((1.0, _atom("p", "a")),)
-    for fn in (ground, least_herbrand_model):
+    empty = grounding.Grounding(grounding.HerbrandModel(frozenset(), ()), (), ())
+    # Twice each: a failed stratum order is not cached.
+    for fn in (ground, least_herbrand_model, ground, lambda t, _: build(empty, t)):
         with pytest.raises(RecursiveTemplateError) as exc:
             fn(t, facts)
         assert set(exc.value.cycle) == {("p", 1), ("q", 1)}
+
+
+def test_stratum_order_computed_once_per_template(monkeypatch):
+    calls = []
+
+    def counting(template):
+        calls.append(template)
+        return check_nonrecursive(template)
+
+    monkeypatch.setattr(logic, "check_nonrecursive", counting)
+    t = load_template("family")
+    for ex in load_examples("family") * 3:
+        build(ground(t, ex.facts), t)
+    assert calls == [t]
 
 
 def test_adding_a_fact_is_monotone():

@@ -109,6 +109,79 @@ def test_parse_error_reports_position():
     assert exc.value.line == 2
 
 
+# Every ParseError the lexer and parser raise, with its exact position.
+PARSE_ERRORS = [
+    # lexer
+    (parse_template, "#example e1\n", "1:1: '#example' headers are not allowed in this file"),
+    (parse_examples, "#example\n", "1:1: malformed header, expected '#example <id>'"),
+    (parse_examples, "#example e1 e2\n", "1:1: malformed header, expected '#example <id>'"),
+    (parse_examples, "#exemple e1\n", "1:1: malformed header, expected '#example <id>'"),
+    (parse_examples, "#example e/1\n", "1:1: malformed header, expected '#example <id>'"),
+    (parse_examples, "#example % e1\n", "1:1: malformed header, expected '#example <id>'"),
+    (parse_template, "1.0 : p(a).", "1:5: expected '::' or ':-'"),
+    (parse_template, "- 1 :: p(a).", "1:1: malformed number"),
+    (parse_template, "1.0 :: p(a).\n² :: q(a).", "2:1: malformed number"),  # isdigit, not \d
+    (parse_template, "1e400 :: p(a).", "1:1: number 1e400 is out of range"),
+    (parse_template, "1.0 :: p('a\nb').", "1:10: unterminated quoted constant"),
+    (parse_template, "1.0 :: p('ab\\", "1:10: unterminated quoted constant"),
+    (parse_template, "1.0 :: p(_x).", "1:10: unexpected character '_'"),
+    (parse_template, "1.0 :: p(½).", "1:10: unexpected character '½'"),  # isnumeric, not a letter
+    (parse_template, "1.0 :: p(a).\r", "1:13: unexpected character '\\r'"),
+    (parse_template, "1.0 :: p(a) & q.", "1:13: unexpected character '&'"),
+    # parser
+    (parse_template, "1.0 :: P(a).", "1:8: expected a predicate name (lowercase)"),
+    (parse_template, "1.0 :: p(a", "1:11: expected ')'"),
+    (parse_template, "1.0 :: p(a,).", "1:12: expected a constant or variable"),
+    (parse_template, "p(a).", "1:1: expected a weight ('?' or decimal)"),
+    (parse_template, "1.0 p(a).", "1:5: expected '::'"),
+    (parse_template, "1.0 :: p(a)", "1:12: expected '.'"),
+    (parse_examples, "1.0 :: p(a).", "1:1: facts must appear under an '#example <id>' header"),
+    (parse_examples, "#example e1\n1.0 :: p(a).\n#example e1\n1.0 :: p(b).\n",
+     "3:1: duplicate example id 'e1'"),
+    (parse_examples, "#example e1\n1.0 :: p(a).\n#example e1", "3:1: duplicate example id 'e1'"),
+    (parse_examples, "#example e1\n#example e1\n&", "2:1: duplicate example id 'e1'"),
+    (parse_examples, "#example e1\n? :: p(a).", "2:1: example facts need a fixed decimal weight, not '?'"),
+    (parse_examples, "#example e1\n1.0 :: p(a) :- q(a).",
+     "2:1: examples may contain only facts (no ':-' bodies)"),
+    (parse_examples, "#example e1\n1.0 :: p(X).", "2:1: example fact p(X) is not ground"),
+    # positions across CRLF, tabs, comment lines and a quoted backslash-newline
+    (parse_template, "1.0 :: p(a).\r\n1.0 :: q(", "2:10: expected a constant or variable"),
+    (parse_template, "\t1.0 ::\tp(a)\t&", "1:14: unexpected character '&'"),
+    (parse_template, "% one\n  % two\n1.0 :: p(a) :- .\n", "3:16: expected a predicate name (lowercase)"),
+    (parse_template, "1.0 :: p('a\\\nb'), q.", "2:4: expected '.'"),
+]
+
+
+@pytest.mark.parametrize("parse, text, expected", PARSE_ERRORS,
+                         ids=[repr(text) for _, text, _ in PARSE_ERRORS])
+def test_parse_error_message_and_position(parse, text, expected):
+    with pytest.raises(ParseError) as exc:
+        parse(text, "src")
+    assert str(exc.value) == f"src:{expected}"
+
+
+def test_parse_unicode_words_and_digits():
+    (c,) = parse_template("٣ :: é(ü, Ñame, 一) :- b_2('x\\\ny').", "src").clauses
+    assert c.weight == 3.0
+    assert c.head == Atom("é", (Constant("ü"), Variable("Ñame"), Constant("一")))
+    assert c.body == (Atom("b_2", (Constant("x\ny"),)),)
+
+
+_GRAMMAR_PIECES = st.sampled_from([
+    "#example", " e1", " ", "\t", "\n", "\r\n", "\r", "%", "::", ":-", ":", "(", ")", ",", ".",
+    "?", "'", "\\", "-", "1", "2.5", "e", "E", "+", "1e400", "p", "q", "a", "X", "_", "é", "É",
+    "²", "½", "٣", "&"])
+
+
+@given(st.lists(_GRAMMAR_PIECES, max_size=30).map("".join))
+def test_any_text_parses_or_raises_positioned_parse_error(text):
+    for parse in (parse_template, parse_examples):
+        try:
+            parse(text, "src")
+        except ParseError as err:
+            assert err.line >= 1 and err.col >= 1
+
+
 # ---------------------------------------------------------------------------
 # Example and query files
 
@@ -122,6 +195,11 @@ def test_parse_examples_basic():
         (0.5, Atom("q", (Constant("a"), Constant("b")))),
     )
     assert examples[1].facts == ()
+
+
+def test_comment_after_header():
+    examples = parse_examples("#example e1 % note\n1.0 :: p(a).\n#example e2%x\n", "src")
+    assert [(ex.example_id, len(ex.facts)) for ex in examples] == [("e1", 1), ("e2", 0)]
 
 
 def test_parse_examples_requires_header():
