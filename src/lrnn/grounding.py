@@ -2,13 +2,15 @@
 
 The template's predicates may form no dependency cycle: a recursive
 template raises RecursiveTemplateError (`logic.check_nonrecursive`)
-before any join.  The model is then computed by stratified evaluation in
-one bottom-up pass.  Fact clauses and example facts seed the relations,
-and the rule clauses run in reverse `check_nonrecursive` order, so every
-rule with head p has run before any rule reads p.  Each rule is joined
-once, against body relations that are already complete.  Every match
-adds its head row to the model and is one rule instance active in the
-least model; `ground` keeps them.
+before any join.  The rule clauses compiled for joins, their order and
+the template's constants are made once per `Template` (`_plan`), so an
+example costs only one stratified bottom-up pass of joins.  Fact clauses
+and example facts seed the relations, and the rule clauses run in
+reverse `check_nonrecursive` order, so every rule with head p has run
+before any rule reads p.  Each rule is joined once, against body
+relations that are already complete.  Every match adds its head row to
+the model and is one rule instance active in the least model; `ground`
+keeps them.
 
 Joins are indexed.  Each body atom has key positions: the arguments
 that are a constant or a variable bound by an earlier body atom of the
@@ -38,7 +40,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CapacityError
-from .logic import Atom, Constant, Template
+from .logic import Atom, Constant, ConstRef, ParamRef, Template, _compile_pattern, _Rule
 
 DEFAULT_CAPACITY = 10**7
 
@@ -50,20 +52,6 @@ class HerbrandModel:
 
     def __contains__(self, atom: Atom) -> bool:
         return atom in self.atoms
-
-
-@dataclass(frozen=True, slots=True)
-class ParamRef:
-    """Edge weight taken from the shared parameter store."""
-
-    pid: str
-
-
-@dataclass(frozen=True, slots=True)
-class ConstRef:
-    """Fixed edge weight (structural 1.0 or an example fact value)."""
-
-    value: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,11 +67,6 @@ class Grounding:
     model: HerbrandModel
     instances: tuple  # GroundRuleInstance, ordered by (clause ordinal, theta)
     ground_facts: tuple  # (Atom, ParamRef | ConstRef), template facts then example facts
-
-
-def _compile_pattern(atom: Atom) -> tuple:
-    # ('c', name) fixed argument, ('v', name) variable slot.
-    return tuple(("c", t.name) if isinstance(t, Constant) else ("v", t.name) for t in atom.args)
 
 
 def _bind(free, row, subst) -> dict | None:
@@ -108,27 +91,6 @@ def _fact_rows(clause, universe):
     vars_ = sorted({name for kind, name in pattern if kind == "v"})
     for combo in itertools.product(universe, repeat=len(vars_)):
         yield _instantiate(pattern, dict(zip(vars_, combo)))
-
-
-class _Rule:
-    __slots__ = ("clause_id", "head_sig", "head_pat", "body_pats", "body", "head_only")
-
-    def __init__(self, clause):
-        self.clause_id = clause.clause_id
-        self.head_sig = clause.head.signature
-        self.head_pat = _compile_pattern(clause.head)
-        self.body_pats = tuple((b.pred, _compile_pattern(b)) for b in clause.body)
-        # Per body atom: (signature, key positions, key pattern, free
-        # (position, variable) slots).  Constants are always key positions.
-        self.body = []
-        bound = set()
-        for b, (_, pattern) in zip(clause.body, self.body_pats):
-            key_pos = tuple(i for i, (kind, name) in enumerate(pattern)
-                            if kind == "c" or name in bound)
-            free = tuple((i, name) for i, (_, name) in enumerate(pattern) if i not in key_pos)
-            self.body.append((b.signature, key_pos, tuple(pattern[i] for i in key_pos), free))
-            bound.update(name for _, name in free)
-        self.head_only = sorted(v.name for v in clause.head_only_variables())
 
 
 def _index(indexes: dict, sig, key_pos: tuple, source) -> dict:
@@ -179,27 +141,25 @@ def _head_expansions(rule: _Rule, subst, universe):
 
 
 def _evaluate(template: Template, example_facts, capacity: int, on_match=None) -> tuple:
-    """The one bottom-up pass: (relations, universe, rules).
+    """The one bottom-up pass: (atoms, model, fact rows).
 
-    relations maps each signature to its set of argument-name rows, the
-    universe is the sorted constant names, and rules are the compiled
-    rule clauses in template order.  Every new row counts against
-    capacity.  When on_match is given, every match counts as well and is
-    handed over as on_match(rule, substitution) once its head row is in.
-    Matches of one rule are distinct substitutions: they bind distinct
-    rows of sets, then each distinct head-only variable to a constant.
+    atoms maps (predicate, argument names) to the model's Atom, one per
+    row, and fact rows pairs each fact clause, in template order, with
+    the rows it seeds.  Every new row counts against capacity.  When
+    on_match is given, every match counts as well and is handed over as
+    on_match(rule, substitution) once its head row is in.  Matches of
+    one rule are distinct substitutions: they bind distinct rows of
+    sets, then each distinct head-only variable to a constant.
     """
-    rank = template._strata
-    constants = {t.name for c in template.clauses for atom in (c.head, *c.body)
-                 for t in atom.args if isinstance(t, Constant)}
-    constants.update(t.name for _, atom in example_facts for t in atom.args)
-    universe = tuple(sorted(constants))
+    plan = template._plan
+    universe = tuple(sorted(plan.constants.union(
+        t.name for _, atom in example_facts for t in atom.args)))
 
     # Fact clauses seed the relations; variable heads expand over the universe.
+    fact_rows = [(c, list(_fact_rows(c, universe))) for c in template.clauses if c.is_fact]
     relations = {}
-    for c in template.clauses:
-        if c.is_fact:
-            relations.setdefault(c.head.signature, set()).update(_fact_rows(c, universe))
+    for c, rows in fact_rows:
+        relations.setdefault(c.head.signature, set()).update(rows)
     for _, atom in example_facts:
         relations.setdefault(atom.signature, set()).add(tuple([t.name for t in atom.args]))
     count = sum(len(rows) for rows in relations.values())
@@ -212,10 +172,9 @@ def _evaluate(template: Template, example_facts, capacity: int, on_match=None) -
         if count > capacity:
             raise CapacityError(count, capacity)
 
-    rules = [_Rule(c) for c in template.clauses if not c.is_fact]
     indexes = {}
     # Bodies before heads: all rules with head p run before any rule reads p.
-    for rule in sorted(rules, key=lambda r: -rank[r.head_sig]):
+    for rule in plan.schedule:
         head = relations.setdefault(rule.head_sig, set())
         for subst in _join(rule, relations, indexes):
             for full in _head_expansions(rule, subst, universe):
@@ -226,19 +185,14 @@ def _evaluate(template: Template, example_facts, capacity: int, on_match=None) -
                 if on_match is not None:
                     charge()
                     on_match(rule, full)
-    return relations, universe, rules
-
-
-def _atoms(relations) -> dict:
-    """(predicate, argument names) -> the model's Atom, one per row."""
-    return {(pred, row): Atom(pred, tuple([Constant(n) for n in row]))
-            for (pred, _), rows in relations.items() for row in rows}
+    atoms = {(pred, row): Atom(pred, tuple([Constant(n) for n in row]))
+             for (pred, _), rows in relations.items() for row in rows}
+    return atoms, HerbrandModel(frozenset(atoms.values()), universe), fact_rows
 
 
 def least_herbrand_model(template: Template, example_facts=(), capacity: int = DEFAULT_CAPACITY) -> HerbrandModel:
     """Stratified bottom-up model of a non-recursive template; capacity bounds its atoms."""
-    relations, universe, _ = _evaluate(template, example_facts, capacity)
-    return HerbrandModel(frozenset(_atoms(relations).values()), universe)
+    return _evaluate(template, example_facts, capacity)[1]
 
 
 def ground(template: Template, example_facts=(), capacity: int = DEFAULT_CAPACITY) -> Grounding:
@@ -253,10 +207,9 @@ def ground(template: Template, example_facts=(), capacity: int = DEFAULT_CAPACIT
     def keep(rule, full):
         matches.setdefault(rule, []).append((tuple(sorted(full.items())), full))
 
-    relations, universe, rules = _evaluate(template, example_facts, capacity, keep)
-    table = _atoms(relations)
+    table, model, fact_rows = _evaluate(template, example_facts, capacity, keep)
     instances = []
-    for rule in rules:
+    for rule in template._plan.rules.values():
         head_pred = rule.head_sig[0]
         for theta, full in sorted(matches.get(rule, ()), key=lambda match: match[0]):
             head = table[head_pred, _instantiate(rule.head_pat, full)]
@@ -265,9 +218,6 @@ def ground(template: Template, example_facts=(), capacity: int = DEFAULT_CAPACIT
             instances.append(GroundRuleInstance(rule.clause_id, theta, head, body))
 
     ground_facts = [(table[c.head.pred, row], ParamRef(c.weight_ref))
-                    for c in template.clauses if c.is_fact
-                    for row in _fact_rows(c, universe)]
+                    for c, rows in fact_rows for row in rows]
     ground_facts.extend((atom, ConstRef(weight)) for weight, atom in example_facts)
-
-    model = HerbrandModel(frozenset(table.values()), universe)
     return Grounding(model, tuple(instances), tuple(ground_facts))

@@ -27,6 +27,10 @@ Clause identity is positional, `<source>:<ordinal>` with 0-based
 ordinals, so parameter ids survive re-parsing the same file.  A weight
 written "?" marks the clause parameter as learnable.  Parameter files
 hold one `param <id> = <decimal>` line per parameter.
+
+What depends on the template alone is compiled once per `Template`:
+its stratum order (`_strata`), and its rule plan (`_plan`) of join plans,
+parameter ids and constants, read by grounding and `network.build`.
 """
 
 import math
@@ -135,6 +139,20 @@ class WeightedClause:
         return render_clause(self)
 
 
+@dataclass(frozen=True, slots=True)
+class ParamRef:
+    """Edge weight taken from the shared parameter store."""
+
+    pid: str
+
+
+@dataclass(frozen=True, slots=True)
+class ConstRef:
+    """Fixed edge weight (structural 1.0 or an example fact value)."""
+
+    value: float
+
+
 class ParameterStore:
     """Named real parameters shared across all ground networks.
 
@@ -219,15 +237,6 @@ class Template:
                 seen.setdefault(atom.signature, None)
         return list(seen)
 
-    def conj_offset_pid(self, clause: WeightedClause) -> str:
-        return _conj_offset_pid(clause)
-
-    def disj_offset_pid(self, signature: tuple) -> str | None:
-        return _disj_offset_pids(self.clauses).get(signature)
-
-    def disj_offset_pids(self) -> dict:
-        return _disj_offset_pids(self.clauses)
-
     @cached_property
     def _strata(self) -> dict:
         """Signature -> its index in `check_nonrecursive` order, heads first.
@@ -237,23 +246,62 @@ class Template:
         """
         return {sig: i for i, sig in enumerate(check_nonrecursive(self))}
 
+    @cached_property
+    def _plan(self) -> "_Plan":
+        """The rule clauses compiled once; raises as `_strata` does."""
+        rank = self._strata
+        offsets = _offset_pids(self.clauses)
+        rules = {c.clause_id: _Rule(c, *offsets[c.clause_id]) for c in self.clauses if not c.is_fact}
+        constants = frozenset(t.name for c in self.clauses for atom in (c.head, *c.body)
+                              for t in atom.args if isinstance(t, Constant))
+        return _Plan(rules, tuple(sorted(rules.values(), key=lambda r: -rank[r.head_sig])), constants)
 
-def _conj_offset_pid(clause: WeightedClause) -> str:
-    return f"{clause.clause_id}:{KIND_CONJ}"
 
-
-def _disj_offset_pids(clauses) -> dict:
-    """Head signature -> offset parameter of its atom neurons.
-
-    Keyed by the first rule clause with that head so the id stays
-    inside the parameter-file grammar; predicates never heading a
-    rule have fact-only atom neurons, which take no offset.
-    """
-    pids = {}
+def _offset_pids(clauses) -> dict:
+    """Rule clause id -> (conj offset id, disj offset id).  A head's disj
+    offset is named by its first rule clause, so the id stays inside the
+    parameter-file grammar; fact-only heads take no offset."""
+    pids, disj = {}, {}
     for c in clauses:
         if not c.is_fact:
-            pids.setdefault(c.head.signature, f"{c.clause_id}:{KIND_DISJ}")
+            pids[c.clause_id] = (f"{c.clause_id}:{KIND_CONJ}",
+                                 disj.setdefault(c.head.signature, f"{c.clause_id}:{KIND_DISJ}"))
     return pids
+
+
+def _compile_pattern(atom: Atom) -> tuple:
+    # ('c', name) fixed argument, ('v', name) variable slot.
+    return tuple(("c", t.name) if isinstance(t, Constant) else ("v", t.name) for t in atom.args)
+
+
+class _Rule:
+    __slots__ = ("clause_id", "head_sig", "head_pat", "body_pats", "body", "head_only",
+                 "weight", "conj", "disj")
+
+    def __init__(self, clause, conj: str, disj: str):
+        self.clause_id = clause.clause_id
+        self.head_sig = clause.head.signature
+        self.head_pat = _compile_pattern(clause.head)
+        self.body_pats = tuple((b.pred, _compile_pattern(b)) for b in clause.body)
+        # Per body atom: (signature, key positions, key pattern, free
+        # (position, variable) slots).  Constants are always key positions.
+        self.body = []
+        bound = set()
+        for b, (_, pattern) in zip(clause.body, self.body_pats):
+            key_pos = tuple(i for i, (kind, name) in enumerate(pattern)
+                            if kind == "c" or name in bound)
+            free = tuple((i, name) for i, (_, name) in enumerate(pattern) if i not in key_pos)
+            self.body.append((b.signature, key_pos, tuple(pattern[i] for i in key_pos), free))
+            bound.update(name for _, name in free)
+        self.head_only = sorted(v.name for v in clause.head_only_variables())
+        self.weight, self.conj, self.disj = ParamRef(clause.weight_ref), conj, disj
+
+
+@dataclass(frozen=True, slots=True)
+class _Plan:
+    rules: dict  # clause_id -> _Rule, in template order
+    schedule: tuple  # the same rules, bodies before heads
+    constants: frozenset  # names of the constants the clauses mention
 
 
 def make_template(clauses, source: str = "template", family: str = "ms") -> Template:
@@ -263,11 +311,7 @@ def make_template(clauses, source: str = "template", family: str = "ms") -> Temp
         kinds[c.weight_ref] = KIND_WEIGHT
         if c.weight is None:
             learnable.add(c.weight_ref)
-    disj_pids = _disj_offset_pids(clauses)
-    for c in clauses:
-        if c.is_fact:
-            continue
-        conj, disj = _conj_offset_pid(c), disj_pids[c.head.signature]
+    for conj, disj in _offset_pids(clauses).values():
         values[conj], kinds[conj] = CONJ_OFFSET_INIT, KIND_CONJ
         learnable.add(conj)
         if disj not in values:  # added at the head's first rule clause
@@ -337,7 +381,7 @@ def _find_cycle(edges, remaining):
 
 
 _BARE_CONST = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
-_EXAMPLE_ID = re.compile(r"[A-Za-z0-9_.\-]+\Z")
+_HEADER = re.compile(r"#example[ \t]+([A-Za-z0-9_.\-]+)[ \t]*\Z")
 
 # One token per match, after blanks and "%" comments.  A word is a
 # letter then letters, digits or "_" (checked with str.isalpha, which no
@@ -390,10 +434,10 @@ class _Parser:
         if kind == "header":
             if not self.allow_headers:
                 self.error("'#example' headers are not allowed in this file", i)
-            parts = value.split()
-            if len(parts) != 2 or parts[0] != "#example" or not _EXAMPLE_ID.match(parts[1]):
+            header = _HEADER.match(value)
+            if header is None:
                 self.error("malformed header, expected '#example <id>'", i)
-            return ("header", parts[1], i)
+            return ("header", header[1], i)
         if kind == "eof":
             return ("eof", None, i)
         ch = self.text[i]
@@ -471,6 +515,16 @@ def parse_template(text: str, source: str = "template", family: str = "ms") -> T
 
 def parse_examples(text: str, source: str = "examples") -> list:
     """Parse `#example` sections of weighted ground facts."""
+    return _parse_sections(text, source, targets=False)
+
+
+def parse_queries(text: str, source: str = "queries") -> list:
+    """Parse query rows; the weight slot carries the target in [0, 1]."""
+    return [QueryRow(ex.example_id, atom, target)
+            for ex in _parse_sections(text, source, targets=True) for target, atom in ex.facts]
+
+
+def _parse_sections(text: str, source: str, targets: bool) -> list:
     p = _Parser(text, source, allow_headers=True)
     examples, ids = [], set()
     current, facts = None, []
@@ -498,20 +552,11 @@ def parse_examples(text: str, source: str = "examples") -> list:
             p.error("examples may contain only facts (no ':-' bodies)", i)
         if not head.is_ground():
             p.error(f"example fact {head} is not ground", i)
+        if targets and not 0.0 <= weight <= 1.0:
+            p.error(f"query target {weight!r} for {head} is outside [0, 1]", i)
         facts.append((weight, head))
     close()
     return examples
-
-
-def parse_queries(text: str, source: str = "queries") -> list:
-    """Parse query rows; the weight slot carries the target in [0, 1]."""
-    rows = []
-    for ex in parse_examples(text, source):
-        for target, atom in ex.facts:
-            if not 0.0 <= target <= 1.0:
-                raise ParseError(f"query target {target!r} for {atom} is outside [0, 1]", source)
-            rows.append(QueryRow(ex.example_id, atom, target))
-    return rows
 
 
 # ---------------------------------------------------------------------------

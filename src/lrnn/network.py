@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 from .activations import (AGGREGATION, CONJUNCTION, DISJUNCTION, WEIGHTED_SUM, eval_agg,
                           eval_conj, eval_disj)
-from .grounding import ConstRef, Grounding, ParamRef
-from .logic import Atom, Template, ground_atom_key
+from .grounding import Grounding
+from .logic import Atom, ConstRef, ParamRef, Template, ground_atom_key
 
 FACT, ATOM, RULE, AGG = 0, 1, 2, 3
 
@@ -66,7 +66,7 @@ class GroundNetwork:
 
 
 def build(grounding: Grounding, template: Template, example_id: str | None = None) -> GroundNetwork:
-    position = template._strata
+    position, rules = template._strata, template._plan.rules
 
     def emission_key(atom: Atom) -> tuple:
         # Example-only predicates are pure leaves and go first; template
@@ -78,9 +78,6 @@ def build(grounding: Grounding, template: Template, example_id: str | None = Non
     atoms = {inst.head for inst in grounding.instances}
     atoms.update(atom for atom, _ in grounding.ground_facts)
 
-    clause_refs = {c.clause_id: (ParamRef(c.weight_ref), template.conj_offset_pid(c))
-                   for c in template.clauses if not c.is_fact}
-    disj_offset = template.disj_offset_pids()
     grouped = {}  # head atom -> {clause_id: [instances]} in encounter order
     for inst in grounding.instances:
         grouped.setdefault(inst.head, {}).setdefault(inst.clause_id, []).append(inst)
@@ -98,21 +95,20 @@ def build(grounding: Grounding, template: Template, example_id: str | None = Non
         facts_by_atom.setdefault(atom, []).append((nid, ref))
 
     for atom in sorted(atoms, key=emission_key):
-        agg_inputs, agg_weights = [], []
+        agg_inputs, agg_weights, offset = [], [], None
         for clause_id, insts in grouped.get(atom, {}).items():
-            weight, conj_offset = clause_refs[clause_id]
+            rule = rules[clause_id]
             origin = (clause_id, atom)
             rule_ids = []
             for inst in insts:
                 body_ids = [outputs[b] for b in inst.body]
-                rule_ids.append(emit(RULE, origin, body_ids, [_UNIT] * len(body_ids), conj_offset))
-            agg_id = emit(AGG, origin, rule_ids, [_UNIT] * len(rule_ids))
-            agg_inputs.append(agg_id)
-            agg_weights.append(weight)
+                rule_ids.append(emit(RULE, origin, body_ids, [_UNIT] * len(body_ids), rule.conj))
+            agg_inputs.append(emit(AGG, origin, rule_ids, [_UNIT] * len(rule_ids)))
+            agg_weights.append(rule.weight)
+            offset = rule.disj  # one per head signature
         for fact_id, ref in facts_by_atom.get(atom, ()):
             agg_inputs.append(fact_id)
             agg_weights.append(ref)
-        offset = disj_offset[atom.signature] if atom in grouped else None
         outputs[atom] = emit(ATOM, atom, agg_inputs, agg_weights, offset)
 
     return GroundNetwork(neurons, outputs, example_id)

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 from .activations import AVG_SIGMOID, FAMILIES, MAX_SIGMOID, local_gradient, sigmoid
 from .errors import AllRestartsFailedError, DivergenceError
-from .grounding import DEFAULT_CAPACITY, ParamRef, ground
-from .logic import KIND_WEIGHT, ParameterStore, QueryRow, Template
+from .grounding import DEFAULT_CAPACITY, ground
+from .logic import KIND_WEIGHT, ParameterStore, ParamRef, QueryRow, Template
 from .network import FACT, GroundNetwork, ValueMap, activation, build, forward
 
 SQUARED_SIGMOID = "squared_sigmoid"

@@ -212,15 +212,17 @@ def randomize_params(template, rng, lo=-2.0, hi=2.0):
     return params
 
 
-def random_gradcheck_instance(seed, family):
+def random_gradcheck_instance(rng, family):
     """(template, facts, queries, params) with every max strictly resolved
     for the max-based families.  Returns None when no usable query atom
-    or sufficiently tie-free parameter point is found for this seed.
+    or sufficiently tie-free parameter point is found for this draw.
+    rng is a random.Random, or an int seed for one.
     """
     from lrnn.grounding import ground
     from lrnn.network import build, forward
 
-    rng = random.Random(seed)
+    if not isinstance(rng, random.Random):
+        rng = random.Random(rng)
     template, facts = random_nonrecursive_program(rng, learnable_rules=True)
     net = build(ground(template, facts), template)
     derived = list(net.outputs)

@@ -279,6 +279,23 @@ def test_stratum_order_computed_once_per_template(monkeypatch):
     assert calls == [t]
 
 
+def test_rule_plan_compiled_once_per_template(monkeypatch):
+    compiled = []
+
+    class Counting(logic._Rule):
+        __slots__ = ()
+
+        def __init__(self, clause, *offset_pids):
+            compiled.append(clause.clause_id)
+            super().__init__(clause, *offset_pids)
+
+    monkeypatch.setattr(logic, "_Rule", Counting)
+    t = load_template("family")
+    for ex in load_examples("family") * 3:
+        build(ground(t, ex.facts), t)
+    assert compiled == [c.clause_id for c in t.clauses if not c.is_fact]
+
+
 def test_adding_a_fact_is_monotone():
     for seed in range(15):
         rng = random.Random(seed)

@@ -144,6 +144,13 @@ PARSE_ERRORS = [
     (parse_examples, "#example e1\n1.0 :: p(a) :- q(a).",
      "2:1: examples may contain only facts (no ':-' bodies)"),
     (parse_examples, "#example e1\n1.0 :: p(X).", "2:1: example fact p(X) is not ground"),
+    (parse_queries, "#example e1\n1.5 :: p(a).", "2:1: query target 1.5 for p(a) is outside [0, 1]"),
+    (parse_queries, "#example e1\n0.5 :: p(a).\n  -0.5 :: q.",
+     "3:3: query target -0.5 for q is outside [0, 1]"),
+    # blanks are space and tab only, in a header as everywhere
+    (parse_examples, "#example\x0ce1\x85\n", "1:1: malformed header, expected '#example <id>'"),
+    (parse_examples, "#example e1\u3000\n", "1:1: malformed header, expected '#example <id>'"),
+    (parse_examples, "#example e0\n#example\re1\n", "2:1: malformed header, expected '#example <id>'"),
     # positions across CRLF, tabs, comment lines and a quoted backslash-newline
     (parse_template, "1.0 :: p(a).\r\n1.0 :: q(", "2:10: expected a constant or variable"),
     (parse_template, "\t1.0 ::\tp(a)\t&", "1:14: unexpected character '&'"),
@@ -175,7 +182,7 @@ _GRAMMAR_PIECES = st.sampled_from([
 
 @given(st.lists(_GRAMMAR_PIECES, max_size=30).map("".join))
 def test_any_text_parses_or_raises_positioned_parse_error(text):
-    for parse in (parse_template, parse_examples):
+    for parse in (parse_template, parse_examples, parse_queries):
         try:
             parse(text, "src")
         except ParseError as err:
@@ -200,6 +207,11 @@ def test_parse_examples_basic():
 def test_comment_after_header():
     examples = parse_examples("#example e1 % note\n1.0 :: p(a).\n#example e2%x\n", "src")
     assert [(ex.example_id, len(ex.facts)) for ex in examples] == [("e1", 1), ("e2", 0)]
+
+
+def test_header_blanks_are_space_and_tab():
+    examples = parse_examples("#example\te1\t\n#example  e2 \t% note\n", "src")
+    assert [ex.example_id for ex in examples] == ["e1", "e2"]
 
 
 def test_parse_examples_requires_header():
@@ -339,8 +351,9 @@ def test_make_template_parameter_layout():
     # one disjunction offset per head predicate, keyed to the first rule clause
     assert params["src:0:disj"] == 0.0
     assert "src:1:disj" not in params
-    assert t.disj_offset_pid(("p", 1)) == "src:0:disj"
-    assert t.disj_offset_pid(("q", 1)) is None  # fact-only head
+    assert [pid for pid, kind in params.kinds.items() if kind == "disj"] == ["src:0:disj"]
+    # both rule clauses for p share it; q heads only a fact, so it takes none
+    assert [rule.disj for rule in t._plan.rules.values()] == ["src:0:disj", "src:0:disj"]
 
 
 def test_parameter_store_guards():

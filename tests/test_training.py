@@ -5,6 +5,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from lrnn import (AllRestartsFailedError, Atom, CompiledTask, Constant,
                   DivergenceError, TrainConfig, TrainingTask, backward, build,
@@ -93,6 +95,22 @@ def _loss_and_grads(template, facts, query_targets, params, family):
     return net, vm, total, backward(net, vm, seeds, params)
 
 
+def _check_gradients(instance, family, tol=1e-5, label="drawn program"):
+    template, facts, query_targets, params = instance
+    _, _, _, grads = _loss_and_grads(template, facts, query_targets, params, family)
+
+    def loss_at(pid, v):
+        probe = params.copy()
+        probe[pid] = v
+        _, _, total, _ = _loss_and_grads(template, facts, query_targets,
+                                         probe, family)
+        return total
+
+    for pid in sorted(params.learnable):
+        fd = central_difference(lambda v: loss_at(pid, v), params[pid])
+        assert rel_close(grads.get(pid, 0.0), fd, tol), f"family {family} {label} pid {pid}"
+
+
 def _run_gradcheck(family, wanted, tol=1e-5):
     checked, seed = 0, 0
     while checked < wanted:
@@ -101,21 +119,7 @@ def _run_gradcheck(family, wanted, tol=1e-5):
         instance = random_gradcheck_instance(seed, family)
         if instance is None:
             continue
-        template, facts, query_targets, params = instance
-        net, vm, _, grads = _loss_and_grads(template, facts, query_targets,
-                                            params, family)
-
-        def loss_at(pid, v):
-            probe = params.copy()
-            probe[pid] = v
-            _, _, total, _ = _loss_and_grads(template, facts, query_targets,
-                                             probe, family)
-            return total
-
-        for pid in sorted(params.learnable):
-            fd = central_difference(lambda v: loss_at(pid, v), params[pid])
-            assert rel_close(grads.get(pid, 0.0), fd, tol), \
-                f"family {family} seed {seed} pid {pid}"
+        _check_gradients(instance, family, tol, f"seed {seed}")
         checked += 1
     return checked
 
@@ -126,6 +130,15 @@ def test_gradients_match_finite_differences_mean_family():
 
 def test_gradients_match_finite_differences_max_family():
     assert _run_gradcheck("ms", 25) == 25
+
+
+@pytest.mark.parametrize("family", ["as", "ms"])
+@given(st.randoms(use_true_random=False))
+def test_gradients_match_finite_differences_on_drawn_programs(family, rng):
+    # The program is drawn from Hypothesis's random, so a failing one shrinks.
+    instance = random_gradcheck_instance(rng, family)
+    assume(instance is not None)
+    _check_gradients(instance, family)
 
 
 def test_untied_gradients_sum_to_tied_gradient():
