@@ -20,7 +20,7 @@ from .logic import (Atom, Constant, Example, ParameterStore, QueryRow, Template,
 from .network import GroundNetwork, Neuron, ValueMap, build, export_dot, forward
 from .training import (CompiledTask, TrainConfig, TrainingTask, TrainReport, backward,
                        compile_networks, cost, crossvalidate, derive_seed, ground_networks,
-                       make_folds, predict, sgd_epoch, train, zero_one_error)
+                       make_folds, sgd_epoch, train, zero_one_error)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

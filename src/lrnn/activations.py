@@ -16,10 +16,12 @@ The godel family reproduces min/max fuzzy-logic evaluation and is meant
 for inference; its min/max subgradients make training fragile.  Offsets
 are per-parameter values passed in by the caller; the defaults below are
 their initial values.  An atom fed by facts alone sums its weighted facts
-in every family.  The eval_* functions return the value only;
-`local_gradient` derives the local slope from it: v(1 - v) for a sigmoid,
-1/m for a mean of m, 1 for a linear sum, and for a min or max a unit
-slope on the winning input, the lowest index among ties.
+in every family.  `operations(family)` is the one table of formulas:
+each operation's value function and its local slope, derived from the
+value: v(1 - v) for a sigmoid, 1/m for a mean of m, 1 for a linear sum,
+and for a min or max a unit slope on the winning input, the lowest index
+among ties.  `forward` and `backward` look a family up once per pass;
+the public eval_* and `local_gradient` check their arguments first.
 """
 
 import math
@@ -53,50 +55,72 @@ def sigmoid(x: float) -> float:
     return z / (1.0 + z)
 
 
-def _check(family: str, inputs):
-    if family not in FAMILIES:
+def _mean(inputs):
+    # Dividing the exact sum can round past the inputs' range (three
+    # equal inputs may average above themselves); clamp it back.
+    return min(max(math.fsum(inputs) / len(inputs), min(inputs)), max(inputs))
+
+
+def _logistic(count, value):
+    return value * (1.0 - value)
+
+
+def _unit(count, value):
+    return 1.0
+
+
+# family -> operation -> (value function, slope function or None).  Conj
+# and disj values take (inputs, offset), agg and sum values the inputs.
+_SIGMOID_CONJ = (lambda xs, b: sigmoid(math.fsum(xs) - len(xs) + b), _logistic)
+_MAX, _SUM = (max, None), (math.fsum, _unit)
+_OPERATIONS = {
+    GODEL: {CONJUNCTION: (lambda xs, b: min(xs), None), AGGREGATION: _MAX,
+            DISJUNCTION: (lambda xs, b: max(xs), None), WEIGHTED_SUM: _SUM},
+    MAX_SIGMOID: {CONJUNCTION: _SIGMOID_CONJ, AGGREGATION: _MAX, WEIGHTED_SUM: _SUM,
+                  DISJUNCTION: (lambda xs, b: sigmoid(math.fsum(xs) + b), _logistic)},
+    AVG_SIGMOID: {CONJUNCTION: _SIGMOID_CONJ, AGGREGATION: (_mean, lambda n, v: 1.0 / n),
+                  DISJUNCTION: (lambda xs, b: math.fsum(xs) + b, _unit), WEIGHTED_SUM: _SUM},
+}
+
+
+def operations(family: str) -> dict:
+    """Operation -> (value function, slope function) of one family.  A
+    slope function maps (input count, value) to d value / d input, the
+    same for every input and for the offset; a min or max has None."""
+    if family not in _OPERATIONS:
         raise ValueError(f"unknown activation family {family!r}")
+    return _OPERATIONS[family]
+
+
+def winner(inputs, value: float) -> int:
+    """The input a min or max returned, lowest index among ties; min/max
+    return a NaN only when it is their first input."""
+    return inputs.index(value) if value == value else 0
+
+
+def _checked(family: str, op: str, inputs):
+    fn = operations(family)[op][0]
     if not inputs:
         raise EmptyInputError("activation evaluated on an empty input list")
+    return fn
 
 
 def eval_conj(family: str, inputs, offset: float = CONJ_OFFSET_INIT) -> float:
-    _check(family, inputs)
-    if family == GODEL:
-        return min(inputs)
-    return sigmoid(math.fsum(inputs) - len(inputs) + offset)
+    return _checked(family, CONJUNCTION, inputs)(inputs, offset)
 
 
 def eval_agg(family: str, inputs) -> float:
-    _check(family, inputs)
-    if family == AVG_SIGMOID:
-        # Dividing the exact sum can round past the inputs' range (three
-        # equal inputs may average above themselves); clamp it back.
-        return min(max(math.fsum(inputs) / len(inputs), min(inputs)), max(inputs))
-    return max(inputs)
+    return _checked(family, AGGREGATION, inputs)(inputs)
 
 
 def eval_disj(family: str, inputs, offset: float = DISJ_OFFSET_INIT) -> float:
-    _check(family, inputs)
-    if family == GODEL:
-        return max(inputs)
-    if family == MAX_SIGMOID:
-        return sigmoid(math.fsum(inputs) + offset)
-    return math.fsum(inputs) + offset
+    return _checked(family, DISJUNCTION, inputs)(inputs, offset)
 
 
 def local_gradient(family: str, op: str, inputs, value: float) -> tuple:
-    """(winner, slope) of an `op` neuron whose forward pass gave `value`.
-
-    A min or max depends on one input: winner is its index and slope 1.
-    Otherwise winner is None and slope is d value / d input, the same for
-    every input and for the neuron's offset.
-    """
-    if op == WEIGHTED_SUM or (op == DISJUNCTION and family == AVG_SIGMOID):
-        return None, 1.0
-    if family == GODEL or (op == AGGREGATION and family == MAX_SIGMOID):
-        # min/max return a NaN only when it is their first input.
-        return (inputs.index(value) if value == value else 0), 1.0
-    if op == AGGREGATION:
-        return None, 1.0 / len(inputs)
-    return None, value * (1.0 - value)
+    """(winner, slope) of an `op` neuron whose forward pass gave `value`:
+    (`winner`, 1) for a min or max, else (None, d value / d input)."""
+    slope = operations(family)[op][1]
+    if slope is None:
+        return winner(inputs, value), 1.0
+    return None, slope(len(inputs), value)

@@ -233,18 +233,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except RecursiveTemplateError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
-    except CapacityError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 4
     except (ValueError, LrnnError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
+        return {RecursiveTemplateError: 3, CapacityError: 4}.get(type(err), 2)
 
 
 if __name__ == "__main__":

@@ -122,13 +122,6 @@ class WeightedClause:
         # The clause weight parameter is identified by the clause itself.
         return self.clause_id
 
-    def variables(self) -> list:
-        seen = {}
-        for atom in (self.head, *self.body):
-            for v in atom.variables():
-                seen.setdefault(v, None)
-        return list(seen)
-
     def head_only_variables(self) -> list:
         body_vars = set()
         for atom in self.body:

@@ -20,16 +20,17 @@ topological and deterministic: facts first, then predicates from the
 leaves of the template dependency order upward, atoms sorted within a
 predicate.
 
-A forward pass keeps one value per neuron; `training.backward` rebuilds
-each neuron's inputs through the same `activation` helper and takes its
-local slope from that value.
+A forward pass looks the family's operations up once, then runs one
+loop over the neurons that reads parameters straight from the store's
+values and keeps one value per neuron: an atom neuron's inputs are the
+terms weight * source value.  `training.backward` takes each neuron's
+local slope from its value and recomputes the inputs only to find the
+winner of a min or max.
 """
 
-import math
 from dataclasses import dataclass
 
-from .activations import (AGGREGATION, CONJUNCTION, DISJUNCTION, WEIGHTED_SUM, eval_agg,
-                          eval_conj, eval_disj)
+from .activations import AGGREGATION, CONJUNCTION, DISJUNCTION, WEIGHTED_SUM, operations
 from .grounding import Grounding
 from .logic import Atom, ConstRef, ParamRef, Template, ground_atom_key
 
@@ -124,37 +125,26 @@ class ValueMap:
     def output(self, net: GroundNetwork, atom: Atom) -> tuple:
         """(value, missing): missing queries evaluate to 0.0."""
         nid = net.outputs.get(atom)
-        if nid is None:
-            return (0.0, True)
-        return (self.values[nid], False)
-
-
-def activation(neuron: Neuron, values: list, params) -> tuple:
-    """(op, inputs) of a non-fact neuron: rule and aggregation neurons
-    combine their sources' values, atom neurons the terms weight * value."""
-    kind = neuron.kind
-    if kind != ATOM:
-        return (CONJUNCTION if kind == RULE else AGGREGATION), [values[s] for s in neuron.inputs]
-    terms = [(params[w.pid] if type(w) is ParamRef else w.value) * values[s]
-             for s, w in zip(neuron.inputs, neuron.weights)]
-    return (WEIGHTED_SUM if neuron.offset_pid is None else DISJUNCTION), terms
+        return (0.0, True) if nid is None else (self.values[nid], False)
 
 
 def forward(net: GroundNetwork, params, family: str) -> ValueMap:
+    ops = operations(family)
+    conj, agg = ops[CONJUNCTION][0], ops[AGGREGATION][0]
+    disj, total = ops[DISJUNCTION][0], ops[WEIGHTED_SUM][0]
+    pv = params.values
     values = [1.0] * len(net.neurons)  # a fact neuron's output
     for neuron in net.neurons:
-        if neuron.kind == FACT:
-            continue
-        op, inputs = activation(neuron, values, params)
-        if op == CONJUNCTION:
-            value = eval_conj(family, inputs, params[neuron.offset_pid])
-        elif op == AGGREGATION:
-            value = eval_agg(family, inputs)
-        elif op == DISJUNCTION:
-            value = eval_disj(family, inputs, params[neuron.offset_pid])
-        else:
-            value = math.fsum(inputs)
-        values[neuron.nid] = value
+        kind = neuron.kind
+        if kind == RULE:
+            values[neuron.nid] = conj([values[s] for s in neuron.inputs], pv[neuron.offset_pid])
+        elif kind == AGG:
+            values[neuron.nid] = agg([values[s] for s in neuron.inputs])
+        elif kind == ATOM:
+            terms = [(pv[w.pid] if type(w) is ParamRef else w.value) * values[s]
+                     for s, w in zip(neuron.inputs, neuron.weights)]
+            offset = neuron.offset_pid
+            values[neuron.nid] = total(terms) if offset is None else disj(terms, pv[offset])
     return ValueMap(values, family)
 
 

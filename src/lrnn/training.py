@@ -3,9 +3,10 @@
 Gradients of shared parameters accumulate by plain summation over all
 edge occurrences, which is exact because a parameter occurs at most once
 on any simple path of a ground network.  The reverse sweep keeps nothing
-from the forward pass but its values: each neuron's local slope comes
-from its forward value (`activations.local_gradient`), and a min or max
-routes its gradient solely to the winning input.  Updates are online:
+from the forward pass but its values: it looks the family's slopes up
+once (`activations.operations`), each neuron's local slope comes from its
+forward value, and a min or max routes its gradient solely to the
+winning input (`activations.winner`).  Updates are online:
 after each example's queries are backpropagated, weights move at once by
 w <- w - lr * grad.  Restarts redraw the learnable weights from
 Uniform(init_range) with seeds derived from the master seed, and the
@@ -20,11 +21,12 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .activations import AVG_SIGMOID, FAMILIES, MAX_SIGMOID, local_gradient, sigmoid
+from .activations import (AGGREGATION, AVG_SIGMOID, CONJUNCTION, DISJUNCTION, MAX_SIGMOID,
+                          WEIGHTED_SUM, operations, sigmoid, winner)
 from .errors import AllRestartsFailedError, DivergenceError
 from .grounding import DEFAULT_CAPACITY, ground
 from .logic import KIND_WEIGHT, ParameterStore, ParamRef, QueryRow, Template
-from .network import FACT, GroundNetwork, ValueMap, activation, build, forward
+from .network import AGG, ATOM, FACT, RULE, GroundNetwork, ValueMap, build, forward
 
 SQUARED_SIGMOID = "squared_sigmoid"
 CROSS_ENTROPY = "cross_entropy"
@@ -62,33 +64,42 @@ def backward(net: GroundNetwork, vm: ValueMap, query_grads: dict, params) -> dic
     query_grads maps ground atoms to d cost / d score seeds; atoms absent
     from the network contribute nothing (their score is a constant 0).
     """
+    ops = operations(vm.family)
+    slopes = {ATOM: ops[DISJUNCTION][1], RULE: ops[CONJUNCTION][1], AGG: ops[AGGREGATION][1]}
+    sum_slope, pv, values = ops[WEIGHTED_SUM][1], params.values, vm.values
     adjoint = [0.0] * len(net.neurons)
     for atom, g in query_grads.items():
         nid = net.outputs.get(atom)
         if nid is not None:
             adjoint[nid] += g
     grads = {}
-    values, family = vm.values, vm.family
     for neuron in reversed(net.neurons):
-        g = adjoint[neuron.nid]
-        if g == 0.0 or neuron.kind == FACT:
+        nid, kind = neuron.nid, neuron.kind
+        g = adjoint[nid]
+        if g == 0.0 or kind == FACT:
             continue
-        op, inputs = activation(neuron, values, params)
-        winner, slope = local_gradient(family, op, inputs, values[neuron.nid])
-        if slope == 0.0:
-            continue
-        g *= slope
-        edges = zip(neuron.inputs, neuron.weights)
-        if winner is not None:
-            edges = ((neuron.inputs[winner], neuron.weights[winner]),)
+        inputs, weights, offset = neuron.inputs, neuron.weights, neuron.offset_pid
+        slope = sum_slope if kind == ATOM and offset is None else slopes[kind]
+        if slope is None:  # a min or max: the adjoint goes to the winner alone
+            terms = ([(pv[w.pid] if type(w) is ParamRef else w.value) * values[s]
+                      for s, w in zip(inputs, weights)] if kind == ATOM
+                     else [values[s] for s in inputs])
+            i = winner(terms, values[nid])
+            edges, offset = ((inputs[i], weights[i]),), None
+        else:
+            slope = slope(len(inputs), values[nid])
+            if slope == 0.0:
+                continue
+            g *= slope
+            edges = zip(inputs, weights)
         for src, ref in edges:
             if type(ref) is ParamRef:
                 grads[ref.pid] = grads.get(ref.pid, 0.0) + g * values[src]
-                adjoint[src] += g * params[ref.pid]
+                adjoint[src] += g * pv[ref.pid]
             else:
                 adjoint[src] += g * ref.value
-        if winner is None and neuron.offset_pid is not None:
-            grads[neuron.offset_pid] = grads.get(neuron.offset_pid, 0.0) + g
+        if offset is not None:
+            grads[offset] = grads.get(offset, 0.0) + g
     return grads
 
 
@@ -126,10 +137,8 @@ class TrainingTask:
     capacity: int = DEFAULT_CAPACITY
 
     def __post_init__(self):
-        fam = self.family or self.template.family
-        if fam not in FAMILIES:
-            raise ValueError(f"unknown activation family {fam!r}")
-        self.family = fam
+        self.family = self.family or self.template.family
+        operations(self.family)  # rejects an unknown family
         ids = {ex.example_id for ex in self.examples}
         for q in self.queries:
             if q.example_id not in ids:
@@ -285,13 +294,6 @@ def train(task: TrainingTask, compiled: CompiledTask | None = None) -> tuple:
         raise AllRestartsFailedError("all restarts diverged")
     report.best_restart = best[1]
     return best[2], report
-
-
-def predict(template: Template, params, example, query_atom, family: str | None = None,
-            capacity: int = DEFAULT_CAPACITY) -> tuple:
-    """(score, missing) of one ground query atom for one example."""
-    net = compile_networks(template, [example], capacity)[example.example_id]
-    return forward(net, params, family or template.family).output(net, query_atom)
 
 
 def zero_one_error(pairs) -> float:

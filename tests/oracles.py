@@ -12,7 +12,7 @@ import itertools
 import math
 import random
 
-from lrnn import Atom, Constant, Variable, WeightedClause, apply, make_template
+from lrnn import Atom, Constant, Variable, WeightedClause, apply, make_template, sigmoid
 
 
 def clause_variables(atoms):
@@ -130,6 +130,71 @@ def fuzzy_min_max_values(template, example_facts):
                     val[head] = candidate
                     changed = True
     return val
+
+
+def family_values(template, example_facts, params, family):
+    """Ground atom -> score under an activation family, by a memoised
+    recursion per ground atom over `naive_model` and `naive_instances`,
+    as the README's family table reads:
+
+        conjunction  over each instance's body atom values
+        aggregation  over each clause's conjunction values for one head
+        disjunction  over clause weight x aggregation value per clause,
+                     plus the weights of the atom's facts
+        an atom with facts only sums its fact weights
+
+    The disj offset of a head is named by the head's first rule clause.
+    math.fsum, min and max do not depend on input order, so the values
+    are expected to equal the network's bit for bit.
+    """
+    model = naive_model(template, example_facts)
+    fact_weights = {}
+    for weight, atom in example_facts:
+        fact_weights.setdefault(atom, []).append(weight)
+    for atom, pid in naive_template_facts(template, example_facts):
+        fact_weights.setdefault(atom, []).append(params[pid])
+    clauses = {c.clause_id: c for c in template.clauses}
+    bodies = {}  # head -> clause id -> [ground body]
+    for clause_id, key in sorted(naive_instances(template, example_facts, model)):
+        theta = {Variable(v): Constant(c) for v, c in key}
+        c = clauses[clause_id]
+        bodies.setdefault(apply(theta, c.head), {}).setdefault(clause_id, []).append(
+            [apply(theta, b) for b in c.body])
+    disj_pid = {}
+    for c in template.clauses:
+        if not c.is_fact:
+            disj_pid.setdefault(c.head.signature, f"{c.clause_id}:disj")
+    memo = {}
+
+    def conj(clause_id, body):
+        xs = [value(b) for b in body]
+        if family == "godel":
+            return min(xs)
+        return sigmoid(math.fsum(xs) - len(xs) + params[f"{clause_id}:conj"])
+
+    def agg(xs):
+        if family == "as":
+            return min(max(math.fsum(xs) / len(xs), min(xs)), max(xs))
+        return max(xs)
+
+    def value(atom):
+        if atom not in memo:
+            by_clause = bodies.get(atom, {})
+            terms = [params[clause_id] * agg([conj(clause_id, b) for b in insts])
+                     for clause_id, insts in by_clause.items()]
+            terms += fact_weights.get(atom, [])
+            offset = params[disj_pid[atom.signature]] if by_clause else None
+            if offset is None:
+                memo[atom] = math.fsum(terms)
+            elif family == "godel":
+                memo[atom] = max(terms)
+            elif family == "ms":
+                memo[atom] = sigmoid(math.fsum(terms) + offset)
+            else:
+                memo[atom] = math.fsum(terms) + offset
+        return memo[atom]
+
+    return {atom: value(atom) for atom in model}
 
 
 def random_nonrecursive_program(rng, max_preds=5, max_consts=5, max_rules=6,

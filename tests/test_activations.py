@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from lrnn import EmptyInputError, eval_agg, eval_conj, eval_disj, local_gradient, sigmoid
+from lrnn.activations import operations
 
 from oracles import central_difference
 
@@ -127,6 +128,10 @@ def test_unknown_family_rejected():
     for op in OPS.values():
         with pytest.raises(ValueError):
             op("lukasiewicz", [0.5])
+    with pytest.raises(ValueError, match="unknown activation family"):
+        local_gradient("lukasiewicz", "agg", [0.5], 0.5)
+    with pytest.raises(ValueError, match="unknown activation family"):
+        operations("lukasiewicz")
 
 
 @given(st.lists(_floats, min_size=1, max_size=5), _floats)

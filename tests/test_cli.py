@@ -6,8 +6,8 @@ import math
 
 import pytest
 
-from lrnn import (Atom, Example, crossvalidate, make_folds, parse_params, predict,
-                  render_params)
+from lrnn import (Atom, CompiledTask, Example, QueryRow, TrainingTask, crossvalidate,
+                  make_folds, parse_params, render_params)
 from lrnn.errors import ParseError
 from lrnn.cli import main
 from lrnn.datasets import make_bond_dataset
@@ -370,12 +370,12 @@ def test_predict_matches_library_scores(tmp_path):
     params = parse_params((tmp_path / "params.txt").read_text(encoding="utf-8"),
                           template.params)
     examples, _ = make_bond_dataset(6, seed=0)
-    by_id = {ex.example_id: ex for ex in examples}
+    queries = [QueryRow(ex.example_id, Atom("explosive", ()), 0.0) for ex in examples]
+    want = CompiledTask(TrainingTask(template, examples, queries, family="ms")).scores(params)
     rows = _read_csv(out)[1:]
     assert len(rows) == 6
-    for example_id, atom, score, missing in rows:
-        expected, was_missing = predict(template, params, by_id[example_id],
-                                        Atom("explosive", ()), "ms")
+    for (example_id, atom, score, missing), (q, expected, was_missing) in zip(rows, want):
+        assert example_id == q.example_id
         assert score == repr(expected)
         assert missing == ("true" if was_missing else "false")
 

@@ -312,6 +312,19 @@ def test_template_round_trip_property(template):
     assert render_template(again) == text
 
 
+@given(st.randoms(use_true_random=False), st.booleans(), st.booleans())
+def test_drawn_program_templates_round_trip(rng, weighted_facts, learnable_rules):
+    # Drawn as the grounding and gradient properties draw their programs:
+    # 0-ary predicates, constants in rules, template facts, "?" weights.
+    template, _ = random_nonrecursive_program(rng, weighted_facts=weighted_facts,
+                                              learnable_rules=learnable_rules)
+    text = render_template(template)
+    again = parse_template(text, "gen")
+    assert again.clauses == template.clauses
+    assert again.params == template.params
+    assert render_template(again) == text
+
+
 # ---------------------------------------------------------------------------
 # Substitution
 

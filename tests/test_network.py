@@ -3,12 +3,15 @@
 import math
 import random
 
+import pytest
+from hypothesis import given, strategies as st
+
 from lrnn import (Atom, ConstRef, Constant, ParamRef, build, export_dot, forward,
                   ground, parse_examples, parse_template)
 from lrnn.network import AGG, ATOM, FACT, RULE
 
 from helpers import check_dot, load_examples, load_queries, load_template
-from oracles import fuzzy_min_max_values, random_nonrecursive_program
+from oracles import family_values, fuzzy_min_max_values, random_nonrecursive_program
 
 
 def _atom(pred, *names):
@@ -194,6 +197,46 @@ def test_random_min_max_programs_match_oracle():
             assert abs(got - value) <= 1e-12, f"seed {seed}: {atom}"
 
 
+def _drawn_program(rng, weighted_facts):
+    """A drawn program, its facts and a store with every parameter drawn."""
+    template, facts = random_nonrecursive_program(rng, weighted_facts=weighted_facts,
+                                                  learnable_rules=True)
+    params = template.params.copy()
+    for pid in params:
+        params[pid] = rng.uniform(-2.0, 2.0)
+    return template, facts, params
+
+
+def _oracle_mismatches(template, facts, params, net, family):
+    """Atoms whose forward value differs from the family oracle's."""
+    vm = forward(net, params, family)
+    want = family_values(template, facts, params, family)
+    assert set(net.outputs) == set(want)
+    return [atom for atom, value in want.items() if vm.output(net, atom) != (value, False)]
+
+
+@pytest.mark.parametrize("family", ["godel", "ms", "as"])
+@given(rng=st.randoms(use_true_random=False), weighted_facts=st.booleans())
+def test_forward_matches_family_oracle_on_drawn_programs(family, rng, weighted_facts):
+    template, facts, params = _drawn_program(rng, weighted_facts)
+    net = build(ground(template, facts), template)
+    assert _oracle_mismatches(template, facts, params, net, family) == []
+
+
+def test_family_oracle_catches_swapped_offsets():
+    # Mutant: rule neurons take their head's disj offset, atom neurons a
+    # clause's conj offset.
+    caught = 0
+    for seed in range(20):
+        template, facts, params = _drawn_program(random.Random(seed), weighted_facts=True)
+        for rule in template._plan.rules.values():
+            rule.conj, rule.disj = rule.disj, rule.conj
+        net = build(ground(template, facts), template)
+        for family in ("ms", "as"):
+            caught += bool(_oracle_mismatches(template, facts, params, net, family))
+    assert caught
+
+
 def test_bright_edges_pinned_value():
     t, net = _net("bright_edges")
     vm = forward(net, t.params, "ms")
@@ -210,6 +253,14 @@ def test_pressure_pinned_values():
     assert math.isclose(alice, 0.8118562749129378, rel_tol=0, abs_tol=1e-12)
     assert math.isclose(bob, 0.5, rel_tol=0, abs_tol=1e-12)
     assert alice > bob
+
+
+def test_forward_rejects_unknown_family_before_any_neuron():
+    t = parse_template("", "src")
+    net = build(ground(t, ((0.7, _atom("p", "a")),)), t)
+    assert net.counts() == (1, 1, 0, 0)  # no neuron applies a family operation
+    with pytest.raises(ValueError, match="unknown activation family 'lukasiewicz'"):
+        forward(net, t.params, "lukasiewicz")
 
 
 def test_forward_deterministic():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from lrnn import (AllRestartsFailedError, Atom, CompiledTask, Constant,
                   DivergenceError, TrainConfig, TrainingTask, backward, build,
                   compile_networks, cost, crossvalidate, derive_seed, forward, ground,
-                  parse_template, predict, sgd_epoch, sigmoid, train, zero_one_error)
+                  parse_template, sgd_epoch, sigmoid, train, zero_one_error)
 from lrnn import training
 from lrnn.datasets import make_bond_dataset, planted_label
 from lrnn.logic import Example, QueryRow
@@ -426,21 +426,25 @@ def test_frozen_offsets_keep_initial_values():
 # Prediction helpers
 
 
+def _scores(template, params, example, atoms, family=None):
+    """(score, missing) per query atom, through CompiledTask.scores."""
+    rows = [QueryRow(example.example_id, atom, 0.0) for atom in atoms]
+    task = TrainingTask(template, [example], rows, family=family)
+    return [(score, missing) for _q, score, missing in CompiledTask(task).scores(params)]
+
+
 def test_predict_pinned_family_values():
     template = load_template("family", family="godel")
     example = load_examples("family")[0]
-    score, missing = predict(template, template.params, example,
-                             _atom("mother", "bob", "alice"))
-    assert (score, missing) == (1.0, False)
-    score, missing = predict(template, template.params, example,
-                             _atom("father", "bob", "alice"))
-    assert (score, missing) == (0.0, True)
+    assert _scores(template, template.params, example,
+                   [_atom("mother", "bob", "alice"), _atom("father", "bob", "alice")]) == [
+        (1.0, False), (0.0, True)]
 
 
 def test_predict_fact_passthrough():
     template = parse_template("", "src")
     example = Example("e", ((0.7, _atom("p", "a")),))
-    assert predict(template, template.params, example, _atom("p", "a"), "ms") == (0.7, False)
+    assert _scores(template, template.params, example, [_atom("p", "a")], "ms") == [(0.7, False)]
 
 
 def test_zero_one_error_threshold():
