@@ -11,7 +11,7 @@ Subcommands:
 Exit codes: 0 success, 2 malformed input or bad configuration,
 3 recursive template, 4 grounding capacity exceeded.  The environment
 variable LRNN_CAPACITY overrides the default grounding budget (model
-atoms plus rule instances).
+atoms plus rule instances, and neurons per network).
 All outputs are deterministic functions of the inputs and --seed.
 """
 

@@ -33,13 +33,13 @@ class RecursiveTemplateError(LrnnError):
 
 
 class CapacityError(LrnnError):
-    """Grounding exceeded the configured budget on model atoms plus rule instances."""
+    """Grounding exceeded the configured budget: `what` names what was
+    counted, model atoms plus rule instances or the neurons of one network."""
 
-    def __init__(self, count: int, cap: int):
+    def __init__(self, count: int, cap: int, what: str = "model atoms plus rule instances"):
         self.count = count
         self.cap = cap
-        super().__init__(f"grounding exceeded its budget of {cap} model atoms plus rule "
-                         f"instances (reached {count})")
+        super().__init__(f"grounding exceeded its budget of {cap} {what} (reached {count})")
 
 
 class EmptyInputError(LrnnError):

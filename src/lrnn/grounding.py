@@ -33,7 +33,8 @@ argument names).
 
 One budget, `capacity`, bounds the grounding work: the model may hold
 at most that many atoms, and model atoms plus distinct rule instances
-may not exceed it either.
+may not exceed it either.  `network.build` bounds each example's
+neurons by the same budget.
 """
 
 import itertools

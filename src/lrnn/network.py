@@ -14,6 +14,9 @@ One network per example.  Four neuron kinds, wired bottom-up:
             by facts alone skips the disjunction and outputs the weighted
             sum directly
 
+`build` counts an example's neurons before allocating any, and raises
+CapacityError when they exceed the grounding budget.
+
 Shared parameters appear on edges as ParamRef and at most once on any
 simple path, so accumulated gradients stay exact.  Neuron order is
 topological and deterministic: facts first, then predicates from the
@@ -31,7 +34,8 @@ winner of a min or max.
 from dataclasses import dataclass
 
 from .activations import AGGREGATION, CONJUNCTION, DISJUNCTION, WEIGHTED_SUM, operations
-from .grounding import Grounding
+from .errors import CapacityError
+from .grounding import DEFAULT_CAPACITY, Grounding
 from .logic import Atom, ConstRef, ParamRef, Template, ground_atom_key
 
 FACT, ATOM, RULE, AGG = 0, 1, 2, 3
@@ -66,7 +70,10 @@ class GroundNetwork:
         return sum(len(neuron.inputs) for neuron in self.neurons)
 
 
-def build(grounding: Grounding, template: Template, example_id: str | None = None) -> GroundNetwork:
+def build(grounding: Grounding, template: Template, example_id: str | None = None,
+          capacity: int = DEFAULT_CAPACITY) -> GroundNetwork:
+    """The example's network; CapacityError when it would hold more than
+    `capacity` neurons."""
     position, rules = template._strata, template._plan.rules
 
     def emission_key(atom: Atom) -> tuple:
@@ -82,6 +89,12 @@ def build(grounding: Grounding, template: Template, example_id: str | None = Non
     grouped = {}  # head atom -> {clause_id: [instances]} in encounter order
     for inst in grounding.instances:
         grouped.setdefault(inst.head, {}).setdefault(inst.clause_id, []).append(inst)
+
+    # One neuron per fact, rule instance, (clause, head) pair and atom.
+    count = (len(grounding.ground_facts) + len(grounding.instances) + len(atoms)
+             + sum(len(by_clause) for by_clause in grouped.values()))
+    if count > capacity:
+        raise CapacityError(count, capacity, "neurons per network")
 
     neurons, outputs = [], {}
 

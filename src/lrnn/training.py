@@ -8,11 +8,13 @@ once (`activations.operations`), each neuron's local slope comes from its
 forward value, and a min or max routes its gradient solely to the
 winning input (`activations.winner`).  Updates are online:
 after each example's queries are backpropagated, weights move at once by
-w <- w - lr * grad.  Restarts redraw the learnable weights from
-Uniform(init_range) with seeds derived from the master seed, and the
-restart with the lowest final training cost wins; a restart whose
-parameters or final cost go non-finite is skipped and noted in the
-report.
+w <- w - lr * grad; with nothing learnable the online step is skipped and
+only the epoch cost is priced.  That post-epoch cost pass runs one
+forward pass over a network shared by all examples (`CompiledTask`).
+Restarts redraw the learnable weights from Uniform(init_range) with
+seeds derived from the master seed, and the restart with the lowest
+final training cost wins; a restart whose parameters or final cost go
+non-finite is skipped and noted in the report.
 """
 
 import hashlib
@@ -26,7 +28,7 @@ from .activations import (AGGREGATION, AVG_SIGMOID, CONJUNCTION, DISJUNCTION, MA
 from .errors import AllRestartsFailedError, DivergenceError
 from .grounding import DEFAULT_CAPACITY, ground
 from .logic import KIND_WEIGHT, ParameterStore, ParamRef, QueryRow, Template
-from .network import AGG, ATOM, FACT, RULE, GroundNetwork, ValueMap, build, forward
+from .network import AGG, ATOM, FACT, RULE, GroundNetwork, Neuron, ValueMap, build, forward
 
 SQUARED_SIGMOID = "squared_sigmoid"
 CROSS_ENTROPY = "cross_entropy"
@@ -172,7 +174,7 @@ def ground_networks(template: Template, examples, capacity: int = DEFAULT_CAPACI
     """
     for ex in examples:
         grounding = ground(template, ex.facts, capacity)
-        yield ex, grounding, build(grounding, template, ex.example_id)
+        yield ex, grounding, build(grounding, template, ex.example_id, capacity)
 
 
 def compile_networks(template: Template, examples, capacity: int = DEFAULT_CAPACITY) -> dict:
@@ -181,11 +183,24 @@ def compile_networks(template: Template, examples, capacity: int = DEFAULT_CAPAC
 
 
 class CompiledTask:
-    """One network per example, reused across epochs and restarts.
+    """One network per example, reused across epochs and restarts, and
+    one network shared by the queried examples for the cost pass.
 
     `nets` (example id -> network, as from `compile_networks`) lets tasks
     over the same examples share networks; without it the task's
     examples are grounded here.
+
+    The shared network hash-conses neurons across examples: neurons of
+    the same kind, with the same shared inputs in order, the same offset
+    and, for an atom, the same weight refs compute the same value, so one
+    is kept (all facts become one neuron).  `total_cost` prices its first
+    call per example and builds the shared network on the second, since
+    the build costs one to two per-example passes that a task priced once
+    would not win back; from then on a call is one `forward`, with a
+    bit-identical sum.  `scores` (predict, held-out folds, xval's ranking)
+    and the online step stay per example: a one-shot pass would pay more
+    for the merge than it saves, and merging inside the online step would
+    reorder gradient sums.
     """
 
     def __init__(self, task: TrainingTask, nets: dict | None = None):
@@ -197,6 +212,8 @@ class CompiledTask:
         for q in task.queries:
             by_example[q.example_id].append(q)
         self.queries = [by_example[ex.example_id] for ex in task.examples]
+        self._priced = False
+        self._shared = None  # (shared network, [(target, shared id or None)] per query)
 
     def learnable(self) -> frozenset:
         params = self.task.template.params
@@ -214,10 +231,46 @@ class CompiledTask:
         return params
 
     def total_cost(self, params) -> float:
+        """Summed cost of every query, in input order."""
+        if not self._priced:
+            self._priced = True
+            pairs = [(q.target, y) for q, y, _missing in self.scores(params)]
+        else:
+            if self._shared is None:
+                self._shared = self._share()
+            net, rows = self._shared
+            values = forward(net, params, self.task.family).values
+            pairs = [(target, 0.0 if nid is None else values[nid]) for target, nid in rows]
         total = 0.0
-        for q, y, _missing in self.scores(params):
-            total += cost(y, q.target, self.task.config.cost_kind)[0]
+        for target, y in pairs:
+            total += cost(y, target, self.task.config.cost_kind)[0]
         return total
+
+    def _share(self) -> tuple:
+        """Hash-cons the queried examples' neurons, in example order.
+
+        Rule and aggregation edges all have unit weight (`build`), so only
+        an atom's key holds its weight refs.  ConstRef(0.0) equals
+        ConstRef(-0.0), so a merge can flip the sign of a zero value; no
+        activation or cost tells the two apart.
+        """
+        table, neurons, rows = {}, [], []
+        for net, queries in zip(self.nets, self.queries):
+            if not queries:
+                continue
+            ids = []  # this example's neuron id -> shared id
+            for n in net.neurons:
+                kind, inputs, offset = n.kind, tuple([ids[s] for s in n.inputs]), n.offset_pid
+                key = (kind, inputs, n.weights, offset) if kind == ATOM else (kind, inputs, offset)
+                nid = table.get(key)
+                if nid is None:
+                    nid = table[key] = len(neurons)
+                    neurons.append(Neuron(nid, kind, n.origin, inputs, n.weights, offset))
+                ids.append(nid)
+            for q in queries:
+                nid = net.outputs.get(q.atom)
+                rows.append((q.target, None if nid is None else ids[nid]))
+        return GroundNetwork(neurons, {}), rows
 
     def scores(self, params) -> list:
         """(query, score, missing) for every query, input order."""
@@ -235,6 +288,8 @@ class CompiledTask:
 def sgd_epoch(compiled: CompiledTask, params, learnable, rng, epoch: int = 0) -> float:
     """One online pass: per-example gradient step, then the epoch cost
     over all queries under the post-epoch parameters."""
+    if not learnable:  # no gradient would be applied
+        return compiled.total_cost(params)
     task = compiled.task
     cfg = task.config
     order = list(range(len(compiled.nets)))

@@ -12,7 +12,8 @@ import itertools
 import math
 import random
 
-from lrnn import Atom, Constant, Variable, WeightedClause, apply, make_template, sigmoid
+from lrnn import (Atom, Constant, Variable, WeightedClause, apply, cost, forward,
+                  make_template, sigmoid)
 
 
 def clause_variables(atoms):
@@ -195,6 +196,20 @@ def family_values(template, example_facts, params, family):
         return memo[atom]
 
     return {atom: value(atom) for atom in model}
+
+
+def per_example_total_cost(compiled, params):
+    """The training cost with one forward pass per queried example: each
+    query's score read from its own example's network (0.0 for an atom
+    the network lacks), costs summed left to right in input order."""
+    kind, total = compiled.task.config.cost_kind, 0.0
+    for net, queries in zip(compiled.nets, compiled.queries):
+        if queries:
+            values = forward(net, params, compiled.task.family).values
+            for q in queries:
+                nid = net.outputs.get(q.atom)
+                total += cost(0.0 if nid is None else values[nid], q.target, kind)[0]
+    return total
 
 
 def random_nonrecursive_program(rng, max_preds=5, max_consts=5, max_rules=6,

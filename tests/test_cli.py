@@ -356,6 +356,29 @@ def test_capacity_counts_rule_instances_exits_4(tmp_path, capsys, monkeypatch):
     assert "model atoms plus rule instances" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["ground", "train"])
+def test_capacity_counts_network_neurons_exits_4(tmp_path, capsys, monkeypatch, command):
+    # Model atoms plus instances: e(a), p(a) and one instance = 3.  Neurons:
+    # the fact, e(a), the rule, its aggregation and p(a) = 5.
+    paths = {}
+    for name, text in (("template", "? :: p(X) :- e(X).\n"),
+                       ("examples", "#example x\n1.0 :: e(a).\n"),
+                       ("queries", "#example x\n1.0 :: p(a).\n")):
+        paths[name] = tmp_path / f"{name}.lrnn"
+        paths[name].write_text(text, encoding="utf-8")
+    argv = [command, "--template", str(paths["template"]), "--examples", str(paths["examples"])]
+    if command == "train":
+        argv += ["--queries", str(paths["queries"]), "--out-params", str(tmp_path / "p.txt"),
+                 "--epochs", "2"]
+    else:
+        argv += ["--out", str(tmp_path / "o")]
+    monkeypatch.setenv("LRNN_CAPACITY", "4")
+    assert main(argv) == 4
+    assert "budget of 4 neurons per network (reached 5)" in capsys.readouterr().err
+    monkeypatch.setenv("LRNN_CAPACITY", "5")
+    assert main(argv) == 0
+
+
 def test_predict_matches_library_scores(tmp_path):
     template_path, examples_path, queries_path = _bond_files(tmp_path, 6)
     rc = main(_train_args(tmp_path, template_path, examples_path, queries_path))

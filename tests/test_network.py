@@ -6,8 +6,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from lrnn import (Atom, ConstRef, Constant, ParamRef, build, export_dot, forward,
-                  ground, parse_examples, parse_template)
+from lrnn import (Atom, CapacityError, ConstRef, Constant, ParamRef, build, export_dot,
+                  forward, ground, parse_examples, parse_template)
+from lrnn.fixtures import fixture_names
 from lrnn.network import AGG, ATOM, FACT, RULE
 
 from helpers import check_dot, load_examples, load_queries, load_template
@@ -235,6 +236,18 @@ def test_family_oracle_catches_swapped_offsets():
         for family in ("ms", "as"):
             caught += bool(_oracle_mismatches(template, facts, params, net, family))
     assert caught
+
+
+def test_build_budget_is_the_neuron_count():
+    for name in fixture_names():
+        t = load_template(name)
+        for ex in load_examples(name):
+            g = ground(t, ex.facts)
+            size = len(build(g, t).neurons)
+            assert len(build(g, t, capacity=size).neurons) == size
+            with pytest.raises(CapacityError) as exc:
+                build(g, t, capacity=size - 1)
+            assert (exc.value.count, exc.value.cap) == (size, size - 1)
 
 
 def test_bright_edges_pinned_value():

@@ -8,16 +8,19 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from lrnn import (AllRestartsFailedError, Atom, CompiledTask, Constant,
+from lrnn import (FAMILIES, AllRestartsFailedError, Atom, CompiledTask, Constant,
                   DivergenceError, TrainConfig, TrainingTask, backward, build,
                   compile_networks, cost, crossvalidate, derive_seed, forward, ground,
-                  parse_template, sgd_epoch, sigmoid, train, zero_one_error)
+                  parse_examples, parse_template, sgd_epoch, sigmoid, train, zero_one_error)
 from lrnn import training
 from lrnn.datasets import make_bond_dataset, planted_label
+from lrnn.fixtures import fixture_names
 from lrnn.logic import Example, QueryRow
+from lrnn.training import COST_KINDS
 
 from helpers import load_examples, load_queries, load_template, untied_copy
-from oracles import central_difference, random_gradcheck_instance, rel_close
+from oracles import (central_difference, per_example_total_cost, random_gradcheck_instance,
+                     random_nonrecursive_program, randomize_params, rel_close)
 
 LOG_TWO = 0.6931471805599453
 
@@ -521,6 +524,138 @@ def test_crossvalidate_ranks_by_reported_final_cost(monkeypatch):
     k, lr_grid, restarts_grid, epochs = 5, [0.5, 2.0], [1, 2], 2
     crossvalidate(template, examples, queries, k, lr_grid, restarts_grid, epochs, 0, "ms")
     assert len(calls) == k * len(lr_grid) * sum(restarts_grid) * epochs
+
+
+# ---------------------------------------------------------------------------
+# The cost pass over the network shared by all examples
+
+
+def _cost_bits(compiled, params):
+    """(total_cost, per-example reference) as exact bit patterns."""
+    return compiled.total_cost(params).hex(), per_example_total_cost(compiled, params).hex()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("name", fixture_names())
+def test_total_cost_is_per_example_sum_on_fixtures(name, family):
+    template = load_template(name, family)
+    examples, queries = load_examples(name), load_queries(name)
+    rng = random.Random(f"{name}/{family}")
+    for kind in COST_KINDS:
+        task = TrainingTask(template, examples, queries, TrainConfig(cost_kind=kind), family)
+        compiled = CompiledTask(task)
+        for _ in range(3):  # the first call prices per example, later ones share
+            got, want = _cost_bits(compiled, randomize_params(template, rng))
+            assert got == want, kind
+        assert compiled._shared is not None
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@given(rng=st.randoms(use_true_random=False), weighted_facts=st.booleans())
+def test_total_cost_is_per_example_sum_on_drawn_programs(family, rng, weighted_facts):
+    template, facts = random_nonrecursive_program(rng, weighted_facts=weighted_facts,
+                                                  learnable_rules=True)
+    examples = [Example(f"e{i}", tuple(f for f in facts if rng.random() < 0.7))
+                for i in range(4)] + [Example("all", facts), Example("again", facts)]
+    atoms = sorted({a for net in compile_networks(template, examples).values()
+                    for a in net.outputs}, key=str)
+    assume(atoms)
+    queries = [QueryRow(ex.example_id, rng.choice(atoms), round(rng.random(), 3))
+               for ex in examples for _ in range(rng.randint(0, 3))]
+    task = TrainingTask(template, examples, queries, TrainConfig(), family)
+    compiled = CompiledTask(task)
+    for _ in range(3):
+        got, want = _cost_bits(compiled, randomize_params(template, rng))
+        assert got == want
+
+
+def test_renamed_constants_add_no_shared_neuron():
+    # The renaming keeps the constants' order, so instances keep theirs.
+    template = load_template("explosives")
+    examples, queries = make_bond_dataset(1, seed=3)
+    (ex,), (q,) = examples, queries
+
+    def rename(atom):
+        return Atom(atom.pred, tuple(Constant("z" + c.name) for c in atom.args))
+
+    copy = Example("copy", tuple((w, rename(atom)) for w, atom in ex.facts))
+    sizes = []
+    for exs, qs in (([ex], [q]), ([ex, copy], [q, QueryRow("copy", rename(q.atom), q.target)])):
+        compiled = CompiledTask(TrainingTask(template, exs, qs, TrainConfig(), "ms"))
+        params = compiled.initial_params(1)
+        compiled.total_cost(params)
+        compiled.total_cost(params)
+        sizes.append(len(compiled._shared[0].neurons))
+    assert sizes[0] == sizes[1] < len(compiled.nets[0].neurons)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_signed_zero_fact_weights_cost_the_same(family):
+    # ConstRef(0.0) == ConstRef(-0.0): the two examples' fact edges merge.
+    template = parse_template("0.5 :: p(X) :- e(X).\n-0.5 :: q :- p(X), e(X).", "t")
+    examples = parse_examples("#example pos\n0.0 :: e(a).\n#example neg\n-0.0 :: e(a).\n")
+    a = Atom("e", (Constant("a"),))
+    queries = [QueryRow(ex.example_id, atom, target) for ex in examples
+               for atom, target in ((a, 1.0), (Atom("p", a.args), 0.0), (Atom("q", ()), 1.0))]
+    for kind in COST_KINDS:
+        compiled = CompiledTask(TrainingTask(template, examples, queries,
+                                             TrainConfig(cost_kind=kind), family))
+        for _ in range(3):
+            got, want = _cost_bits(compiled, template.params)
+            assert got == want, kind
+        assert len(compiled._shared[0].neurons) == len(compiled.nets[0].neurons)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(training, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training, name, counting)
+    return calls
+
+
+def test_train_forward_calls_per_epoch_and_restart(monkeypatch):
+    template = load_template("explosives")
+    examples, queries = make_bond_dataset(6, seed=2)
+    queries = [q for q in queries if q.example_id != examples[0].example_id]
+    epochs, restarts, n = 3, 2, len(examples) - 1
+    task = TrainingTask(template, examples, queries,
+                        TrainConfig(epochs=epochs, restarts=restarts), "ms")
+    compiled = CompiledTask(task)
+    calls = _count_calls(monkeypatch, "forward")
+    train(task, compiled)
+    # The online step is per example; the first cost pass prices each
+    # example, every later one runs once over the shared network.
+    assert len(calls) == n * epochs * restarts + n + (epochs * restarts - 1)
+
+
+def test_nothing_learnable_skips_the_online_step(monkeypatch):
+    # Fixed clause weights under godel: no parameter can move.
+    template = parse_template("0.5 :: gr1(A) :- o(A).\n-0.5 :: gr2(A) :- h(A).\n"
+                              "1.0 :: explosive :- gr1(A), b(A,B), gr2(B).", "fixed")
+    examples, queries = make_bond_dataset(6, seed=2)
+    cfg = TrainConfig(epochs=3, restarts=2)
+    runs = []
+    for patched in (False, True):
+        task = TrainingTask(template, examples, queries, cfg, "godel")
+        compiled = CompiledTask(task)
+        assert compiled.learnable() == frozenset()
+        if patched:  # a pid no gradient names: the online step runs, moves nothing
+            monkeypatch.setattr(compiled, "learnable", lambda: frozenset({"no such pid"}))
+        forwards = _count_calls(monkeypatch, "forward")
+        backwards = _count_calls(monkeypatch, "backward")
+        params, report = train(task, compiled)
+        runs.append((params, report, len(forwards), len(backwards)))
+        monkeypatch.undo()
+    (skipped, report, forwards, backwards), (full, full_report, full_forwards, _) = runs
+    assert (forwards, backwards) == (len(examples) + 3 * 2 - 1, 0)
+    assert full_forwards == forwards + len(examples) * 3 * 2
+    assert skipped == full == template.params
+    assert report.jsonl() == full_report.jsonl()
 
 
 def test_latent_rule_is_learnable_on_small_sample():
