@@ -55,10 +55,43 @@ def sigmoid(x: float) -> float:
     return z / (1.0 + z)
 
 
+# math.fsum raises where finite terms overflow and on inf + -inf; the
+# sums below then fall back to the float sum, which is +-inf or NaN.
+_FSUM_FAULTS = (OverflowError, ValueError)
+
+
+def _sum(xs):
+    try:
+        return math.fsum(xs)
+    except _FSUM_FAULTS:
+        return sum(xs)
+
+
 def _mean(inputs):
     # Dividing the exact sum can round past the inputs' range (three
     # equal inputs may average above themselves); clamp it back.
-    return min(max(math.fsum(inputs) / len(inputs), min(inputs)), max(inputs))
+    return min(max(_sum(inputs) / len(inputs), min(inputs)), max(inputs))
+
+
+def _sigmoid_conj(xs, b):
+    try:
+        return sigmoid(math.fsum(xs) - len(xs) + b)
+    except _FSUM_FAULTS:
+        return sigmoid(sum(xs) - len(xs) + b)
+
+
+def _sigmoid_disj(xs, b):
+    try:
+        return sigmoid(math.fsum(xs) + b)
+    except _FSUM_FAULTS:
+        return sigmoid(sum(xs) + b)
+
+
+def _linear_disj(xs, b):
+    try:
+        return math.fsum(xs) + b
+    except _FSUM_FAULTS:
+        return sum(xs) + b
 
 
 def _logistic(count, value):
@@ -71,15 +104,15 @@ def _unit(count, value):
 
 # family -> operation -> (value function, slope function or None).  Conj
 # and disj values take (inputs, offset), agg and sum values the inputs.
-_SIGMOID_CONJ = (lambda xs, b: sigmoid(math.fsum(xs) - len(xs) + b), _logistic)
-_MAX, _SUM = (max, None), (math.fsum, _unit)
+_SIGMOID_CONJ = (_sigmoid_conj, _logistic)
+_MAX, _SUM = (max, None), (_sum, _unit)
 _OPERATIONS = {
     GODEL: {CONJUNCTION: (lambda xs, b: min(xs), None), AGGREGATION: _MAX,
             DISJUNCTION: (lambda xs, b: max(xs), None), WEIGHTED_SUM: _SUM},
     MAX_SIGMOID: {CONJUNCTION: _SIGMOID_CONJ, AGGREGATION: _MAX, WEIGHTED_SUM: _SUM,
-                  DISJUNCTION: (lambda xs, b: sigmoid(math.fsum(xs) + b), _logistic)},
+                  DISJUNCTION: (_sigmoid_disj, _logistic)},
     AVG_SIGMOID: {CONJUNCTION: _SIGMOID_CONJ, AGGREGATION: (_mean, lambda n, v: 1.0 / n),
-                  DISJUNCTION: (lambda xs, b: math.fsum(xs) + b, _unit), WEIGHTED_SUM: _SUM},
+                  DISJUNCTION: (_linear_disj, _unit), WEIGHTED_SUM: _SUM},
 }
 
 

@@ -8,10 +8,11 @@ Subcommands:
     xval         k-fold cross-validation with inner grid selection on training risk
     export-dot   write one Graphviz file per example
 
-Exit codes: 0 success, 2 malformed input or bad configuration,
-3 recursive template, 4 grounding capacity exceeded.  The environment
-variable LRNN_CAPACITY overrides the default grounding budget (model
-atoms plus rule instances, and neurons per network).
+Exit codes: 0 success, 2 malformed input, bad configuration or an
+output path that cannot be written, 3 recursive template, 4 grounding
+capacity exceeded.  The environment variable LRNN_CAPACITY overrides the
+default grounding budget (model atoms plus rule instances, and neurons
+per network).
 All outputs are deterministic functions of the inputs and --seed.
 """
 
@@ -236,6 +237,9 @@ def main(argv=None) -> int:
     except (ValueError, LrnnError) as err:
         print(f"error: {err}", file=sys.stderr)
         return {RecursiveTemplateError: 3, CapacityError: 4}.get(type(err), 2)
+    except OSError as err:  # inputs are read by _read, so this is an output
+        print(f"error: cannot write output: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -33,10 +33,12 @@ its stratum order (`_strata`), and its rule plan (`_plan`) of join plans,
 parameter ids and constants, read by grounding and `network.build`.
 """
 
+import heapq
 import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from graphlib import CycleError, TopologicalSorter
 
 from .activations import CONJ_OFFSET_INIT, DISJ_OFFSET_INIT
 from .errors import ParseError, RecursiveTemplateError
@@ -334,39 +336,24 @@ def check_nonrecursive(template: Template) -> tuple:
     Raises RecursiveTemplateError with one witness cycle when no such
     ordering exists.  Tie-breaks are sorted so the ordering is stable.
     """
-    sigs = sorted(template.signatures())
-    edges = {s: set() for s in sigs}
-    indeg = {s: 0 for s in sigs}
+    graph = TopologicalSorter()
+    for s in sorted(template.signatures()):
+        graph.add(s)
     for c in template.clauses:
         for b in c.body:
-            if b.signature not in edges[c.head.signature]:
-                edges[c.head.signature].add(b.signature)
-                indeg[b.signature] += 1
-    order, ready = [], sorted(s for s in sigs if indeg[s] == 0)
+            graph.add(b.signature, c.head.signature)
+    try:
+        graph.prepare()
+    except CycleError as err:
+        raise RecursiveTemplateError(err.args[1][:-1])
+    order, ready = [], sorted(graph.get_ready())
     while ready:
-        s = ready.pop(0)
+        s = heapq.heappop(ready)
         order.append(s)
-        opened = []
-        for t in edges[s]:
-            indeg[t] -= 1
-            if indeg[t] == 0:
-                opened.append(t)
-        if opened:
-            ready = sorted(ready + opened)
-    if len(order) != len(sigs):
-        raise RecursiveTemplateError(_find_cycle(edges, {s for s in sigs if indeg[s] > 0}))
+        graph.done(s)
+        for t in graph.get_ready():
+            heapq.heappush(ready, t)
     return tuple(order)
-
-
-def _find_cycle(edges, remaining):
-    # Every remaining node lies on or leads into a cycle; walk until a repeat.
-    node = sorted(remaining)[0]
-    path, seen = [], {}
-    while node not in seen:
-        seen[node] = len(path)
-        path.append(node)
-        node = sorted(t for t in edges[node] if t in remaining)[0]
-    return path[seen[node]:]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Ground neural networks compiled from a grounding.
+"""Ground neural networks: the one format, and the three passes over it.
 
 One network per example.  Four neuron kinds, wired bottom-up:
 
@@ -23,17 +23,28 @@ topological and deterministic: facts first, then predicates from the
 leaves of the template dependency order upward, atoms sorted within a
 predicate.
 
-A forward pass looks the family's operations up once, then runs one
-loop over the neurons that reads parameters straight from the store's
-values and keeps one value per neuron: an atom neuron's inputs are the
-terms weight * source value.  `training.backward` takes each neuron's
-local slope from its value and recomputes the inputs only to find the
-winner of a min or max.
+Three passes read the format:
+
+    forward   looks the family's operations up once, then runs one loop
+              over the neurons that reads parameters straight from the
+              store's values and keeps one value per neuron: an atom
+              neuron's inputs are the terms weight * source value
+    backward  the reverse sweep: it keeps nothing from `forward` but the
+              values, takes each neuron's local slope from its value,
+              recomputes the inputs only to find the winner of a min or
+              max (which alone receives the adjoint), and sums a shared
+              parameter's gradient over all of its edges
+    merge     hash-conses networks into one: neurons of the same kind,
+              with the same merged inputs in order, the same offset and,
+              for an atom, the same weight refs compute the same value,
+              so one is kept (all facts become one neuron) and `forward`
+              over the merged network gives every original value
 """
 
 from dataclasses import dataclass
 
-from .activations import AGGREGATION, CONJUNCTION, DISJUNCTION, WEIGHTED_SUM, operations
+from .activations import (AGGREGATION, CONJUNCTION, DISJUNCTION, WEIGHTED_SUM, operations,
+                          winner)
 from .errors import CapacityError
 from .grounding import DEFAULT_CAPACITY, Grounding
 from .logic import Atom, ConstRef, ParamRef, Template, ground_atom_key
@@ -159,6 +170,74 @@ def forward(net: GroundNetwork, params, family: str) -> ValueMap:
             offset = neuron.offset_pid
             values[neuron.nid] = total(terms) if offset is None else disj(terms, pv[offset])
     return ValueMap(values, family)
+
+
+def backward(net: GroundNetwork, vm: ValueMap, query_grads: dict, params) -> dict:
+    """Reverse sweep; returns parameter id -> accumulated gradient.
+
+    query_grads maps ground atoms to d cost / d score seeds; atoms absent
+    from the network contribute nothing (their score is a constant 0).
+    """
+    ops = operations(vm.family)
+    slopes = {ATOM: ops[DISJUNCTION][1], RULE: ops[CONJUNCTION][1], AGG: ops[AGGREGATION][1]}
+    sum_slope, pv, values = ops[WEIGHTED_SUM][1], params.values, vm.values
+    adjoint = [0.0] * len(net.neurons)
+    for atom, g in query_grads.items():
+        nid = net.outputs.get(atom)
+        if nid is not None:
+            adjoint[nid] += g
+    grads = {}
+    for neuron in reversed(net.neurons):
+        nid, kind = neuron.nid, neuron.kind
+        g = adjoint[nid]
+        if g == 0.0 or kind == FACT:
+            continue
+        inputs, weights, offset = neuron.inputs, neuron.weights, neuron.offset_pid
+        slope = sum_slope if kind == ATOM and offset is None else slopes[kind]
+        if slope is None:  # a min or max: the adjoint goes to the winner alone
+            terms = ([(pv[w.pid] if type(w) is ParamRef else w.value) * values[s]
+                      for s, w in zip(inputs, weights)] if kind == ATOM
+                     else [values[s] for s in inputs])
+            i = winner(terms, values[nid])
+            edges, offset = ((inputs[i], weights[i]),), None
+        else:
+            slope = slope(len(inputs), values[nid])
+            if slope == 0.0:
+                continue
+            g *= slope
+            edges = zip(inputs, weights)
+        for src, ref in edges:
+            if type(ref) is ParamRef:
+                grads[ref.pid] = grads.get(ref.pid, 0.0) + g * values[src]
+                adjoint[src] += g * pv[ref.pid]
+            else:
+                adjoint[src] += g * ref.value
+        if offset is not None:
+            grads[offset] = grads.get(offset, 0.0) + g
+    return grads
+
+
+def merge(nets) -> tuple:
+    """(merged network, per net the merged id of each of its neurons).
+
+    Rule and aggregation edges all have unit weight (`build`), so only
+    an atom's key holds its weight refs.  ConstRef(0.0) equals
+    ConstRef(-0.0), so a merge can flip the sign of a zero value; no
+    activation or cost tells the two apart.
+    """
+    table, neurons, index = {}, [], []
+    for net in nets:
+        ids = []  # this net's neuron id -> merged id
+        for n in net.neurons:
+            kind, inputs, offset = n.kind, tuple([ids[s] for s in n.inputs]), n.offset_pid
+            key = (kind, inputs, n.weights, offset) if kind == ATOM else (kind, inputs, offset)
+            nid = table.get(key)
+            if nid is None:
+                nid = table[key] = len(neurons)
+                neurons.append(Neuron(nid, kind, n.origin, inputs, n.weights, offset))
+            ids.append(nid)
+        index.append(ids)
+    return GroundNetwork(neurons, {}), index
 
 
 _SHAPES = {FACT: "box", ATOM: "ellipse", RULE: "diamond", AGG: "trapezium"}

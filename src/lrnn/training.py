@@ -1,20 +1,13 @@
-"""Weight learning: reverse-mode gradients plus online SGD with restarts.
+"""Weight learning: online SGD with restarts, over the networks and
+passes of `network`.
 
-Gradients of shared parameters accumulate by plain summation over all
-edge occurrences, which is exact because a parameter occurs at most once
-on any simple path of a ground network.  The reverse sweep keeps nothing
-from the forward pass but its values: it looks the family's slopes up
-once (`activations.operations`), each neuron's local slope comes from its
-forward value, and a min or max routes its gradient solely to the
-winning input (`activations.winner`).  Updates are online:
-after each example's queries are backpropagated, weights move at once by
-w <- w - lr * grad; with nothing learnable the online step is skipped and
-only the epoch cost is priced.  That post-epoch cost pass runs one
-forward pass over a network shared by all examples (`CompiledTask`).
-Restarts redraw the learnable weights from Uniform(init_range) with
-seeds derived from the master seed, and the restart with the lowest
-final training cost wins; a restart whose parameters or final cost go
-non-finite is skipped and noted in the report.
+Updates are online: after each example's queries are backpropagated,
+weights move at once by w <- w - lr * grad; with nothing learnable the
+online step is skipped and only the epoch cost is priced.  Restarts
+redraw the learnable weights from Uniform(init_range) with seeds derived
+from the master seed, and the restart with the lowest final training
+cost wins; a restart whose parameters or final cost go non-finite is
+skipped and noted in the report.
 """
 
 import hashlib
@@ -23,12 +16,11 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .activations import (AGGREGATION, AVG_SIGMOID, CONJUNCTION, DISJUNCTION, MAX_SIGMOID,
-                          WEIGHTED_SUM, operations, sigmoid, winner)
+from .activations import AVG_SIGMOID, MAX_SIGMOID, operations, sigmoid
 from .errors import AllRestartsFailedError, DivergenceError
 from .grounding import DEFAULT_CAPACITY, ground
-from .logic import KIND_WEIGHT, ParameterStore, ParamRef, QueryRow, Template
-from .network import AGG, ATOM, FACT, RULE, GroundNetwork, Neuron, ValueMap, build, forward
+from .logic import KIND_WEIGHT, ParameterStore, QueryRow, Template
+from .network import backward, build, forward, merge
 
 SQUARED_SIGMOID = "squared_sigmoid"
 CROSS_ENTROPY = "cross_entropy"
@@ -58,51 +50,6 @@ def cost(y: float, target: float, kind: str = SQUARED_SIGMOID) -> tuple:
     if kind == CROSS_ENTROPY:
         return target * _softplus(-y) + (1.0 - target) * _softplus(y), sigmoid(y) - target
     raise ValueError(f"unknown cost kind {kind!r}")
-
-
-def backward(net: GroundNetwork, vm: ValueMap, query_grads: dict, params) -> dict:
-    """Reverse sweep; returns parameter id -> accumulated gradient.
-
-    query_grads maps ground atoms to d cost / d score seeds; atoms absent
-    from the network contribute nothing (their score is a constant 0).
-    """
-    ops = operations(vm.family)
-    slopes = {ATOM: ops[DISJUNCTION][1], RULE: ops[CONJUNCTION][1], AGG: ops[AGGREGATION][1]}
-    sum_slope, pv, values = ops[WEIGHTED_SUM][1], params.values, vm.values
-    adjoint = [0.0] * len(net.neurons)
-    for atom, g in query_grads.items():
-        nid = net.outputs.get(atom)
-        if nid is not None:
-            adjoint[nid] += g
-    grads = {}
-    for neuron in reversed(net.neurons):
-        nid, kind = neuron.nid, neuron.kind
-        g = adjoint[nid]
-        if g == 0.0 or kind == FACT:
-            continue
-        inputs, weights, offset = neuron.inputs, neuron.weights, neuron.offset_pid
-        slope = sum_slope if kind == ATOM and offset is None else slopes[kind]
-        if slope is None:  # a min or max: the adjoint goes to the winner alone
-            terms = ([(pv[w.pid] if type(w) is ParamRef else w.value) * values[s]
-                      for s, w in zip(inputs, weights)] if kind == ATOM
-                     else [values[s] for s in inputs])
-            i = winner(terms, values[nid])
-            edges, offset = ((inputs[i], weights[i]),), None
-        else:
-            slope = slope(len(inputs), values[nid])
-            if slope == 0.0:
-                continue
-            g *= slope
-            edges = zip(inputs, weights)
-        for src, ref in edges:
-            if type(ref) is ParamRef:
-                grads[ref.pid] = grads.get(ref.pid, 0.0) + g * values[src]
-                adjoint[src] += g * pv[ref.pid]
-            else:
-                adjoint[src] += g * ref.value
-        if offset is not None:
-            grads[offset] = grads.get(offset, 0.0) + g
-    return grads
 
 
 @dataclass
@@ -184,23 +131,18 @@ def compile_networks(template: Template, examples, capacity: int = DEFAULT_CAPAC
 
 class CompiledTask:
     """One network per example, reused across epochs and restarts, and
-    one network shared by the queried examples for the cost pass.
+    for the cost pass one merged network of the queried examples.
 
     `nets` (example id -> network, as from `compile_networks`) lets tasks
     over the same examples share networks; without it the task's
     examples are grounded here.
 
-    The shared network hash-conses neurons across examples: neurons of
-    the same kind, with the same shared inputs in order, the same offset
-    and, for an atom, the same weight refs compute the same value, so one
-    is kept (all facts become one neuron).  `total_cost` prices its first
-    call per example and builds the shared network on the second, since
-    the build costs one to two per-example passes that a task priced once
-    would not win back; from then on a call is one `forward`, with a
-    bit-identical sum.  `scores` (predict, held-out folds, xval's ranking)
-    and the online step stay per example: a one-shot pass would pay more
-    for the merge than it saves, and merging inside the online step would
-    reorder gradient sums.
+    `total_cost` prices its first call per example and merges on the
+    second, since the merge costs one to two per-example passes that a
+    task priced once would not win back; from then on a call is one
+    `forward`, with a bit-identical sum.  `scores` (predict, held-out
+    folds, xval's ranking) stays per example: a one-shot pass would pay
+    more for the merge than it saves.
     """
 
     def __init__(self, task: TrainingTask, nets: dict | None = None):
@@ -247,30 +189,16 @@ class CompiledTask:
         return total
 
     def _share(self) -> tuple:
-        """Hash-cons the queried examples' neurons, in example order.
-
-        Rule and aggregation edges all have unit weight (`build`), so only
-        an atom's key holds its weight refs.  ConstRef(0.0) equals
-        ConstRef(-0.0), so a merge can flip the sign of a zero value; no
-        activation or cost tells the two apart.
-        """
-        table, neurons, rows = {}, [], []
-        for net, queries in zip(self.nets, self.queries):
-            if not queries:
-                continue
-            ids = []  # this example's neuron id -> shared id
-            for n in net.neurons:
-                kind, inputs, offset = n.kind, tuple([ids[s] for s in n.inputs]), n.offset_pid
-                key = (kind, inputs, n.weights, offset) if kind == ATOM else (kind, inputs, offset)
-                nid = table.get(key)
-                if nid is None:
-                    nid = table[key] = len(neurons)
-                    neurons.append(Neuron(nid, kind, n.origin, inputs, n.weights, offset))
-                ids.append(nid)
+        """The queried examples' networks merged, and (target, merged id
+        or None) per query."""
+        queried = [(net, queries) for net, queries in zip(self.nets, self.queries) if queries]
+        shared, index = merge([net for net, _ in queried])
+        rows = []
+        for (net, queries), ids in zip(queried, index):
             for q in queries:
                 nid = net.outputs.get(q.atom)
                 rows.append((q.target, None if nid is None else ids[nid]))
-        return GroundNetwork(neurons, {}), rows
+        return shared, rows
 
     def scores(self, params) -> list:
         """(query, score, missing) for every query, input order."""

@@ -325,6 +325,47 @@ def test_predict_non_finite_score_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+# Finite fact weights whose sums overflow: e(x) sums to inf, f(x) to -inf,
+# so q's conjunction sums inf + -inf.
+_OVERFLOW_TEMPLATE = "0.5 :: q :- e(X), f(X).\n"
+_OVERFLOW_EXAMPLES = {
+    "overflow": "#example ex1\n1e308 :: e(x).\n1e308 :: e(x).\n",
+    "inf_minus_inf": "#example ex1\n1e308 :: e(x).\n1e308 :: e(x).\n"
+                     "-1e308 :: f(x).\n-1e308 :: f(x).\n",
+}
+
+
+def _overflow_files(tmp_path, case):
+    files = {"template": _OVERFLOW_TEMPLATE, "examples": _OVERFLOW_EXAMPLES[case],
+             "queries": "#example ex1\n1.0 :: q.\n1.0 :: e(x).\n"}
+    for name, text in files.items():
+        (tmp_path / f"{name}.lrnn").write_text(text, encoding="utf-8")
+    return [arg for name in files for arg in (f"--{name}", str(tmp_path / f"{name}.lrnn"))]
+
+
+@pytest.mark.parametrize("family", ["godel", "ms", "as"])
+@pytest.mark.parametrize("case, atom", [("overflow", "e(x)"), ("inf_minus_inf", "q")])
+def test_predict_overflowing_sum_exits_2(tmp_path, capsys, family, case, atom):
+    rc = main(["predict", *_overflow_files(tmp_path, case), "--family", family])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"example ex1: score of {atom} is not finite" in err
+
+
+@pytest.mark.parametrize("case, rc_want", [("overflow", 0), ("inf_minus_inf", 2)])
+def test_train_overflowing_sum_prices_the_cost(tmp_path, capsys, case, rc_want):
+    # An infinite score still has a finite squared_sigmoid cost; a NaN one
+    # diverges every restart.
+    rc = main(["train", *_overflow_files(tmp_path, case), "--epochs", "2", "--restarts", "2",
+               "--out-params", str(tmp_path / "params.txt")])
+    assert rc == rc_want
+    captured = capsys.readouterr()
+    if rc_want:
+        assert "all restarts diverged" in captured.err
+    else:
+        assert math.isfinite(float(captured.out.split("final_cost ")[1].split()[0]))
+
+
 @pytest.mark.parametrize("name, text", [
     ("template", "1e400 :: female(alice).\n"),
     ("examples", "#example e1\n1e400 :: parent(ann,alice).\n"),
@@ -535,6 +576,34 @@ def test_export_dot_empty_network(tmp_path):
     assert rc == 0
     nodes, edges = check_dot((out / "empty.dot").read_text(encoding="utf-8"))
     assert (nodes, edges) == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# unwritable outputs
+
+
+@pytest.mark.parametrize("command, option, existing_file", [
+    ("ground", "--out", True), ("train", "--out-params", False), ("train", "--report", False),
+    ("predict", "--out", False), ("xval", "--out", False), ("export-dot", "--out", True),
+])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, command, option, existing_file):
+    template, examples, queries = _bond_files(tmp_path, 4)
+    if existing_file:  # ground and export-dot create missing directories
+        path = tmp_path / "taken"
+        path.write_text("", encoding="utf-8")
+    else:
+        path = tmp_path / "missing" / "out"
+    args = {"ground": [], "export-dot": [],
+            "train": ["--queries", queries, "--epochs", "1", "--restarts", "1",
+                      "--out-params", str(tmp_path / "params.txt")],
+            "predict": ["--queries", queries],
+            "xval": ["--queries", queries, "--folds", "2", "--epochs", "1",
+                     "--restarts-grid", "1"]}[command]
+    rc = main([command, "--template", template, "--examples", examples, *args,
+               option, str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "cannot write output" in err and str(path) in err
 
 
 # ---------------------------------------------------------------------------

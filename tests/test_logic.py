@@ -413,6 +413,17 @@ def test_recursive_mutual_cycle_rejected():
     assert "p/1" in message and "q/1" in message and "r/1" in message
 
 
+@pytest.mark.parametrize("text, cycle", [
+    ("1.0 :: p1(X) :- p1(X), p0(X).", [("p1", 1)]),
+    ("1.0 :: q :- r, a.\n1.0 :: r :- q, b.\n1.0 :: a :- b.", [("q", 0), ("r", 0)]),
+])
+def test_recursive_witness_skips_predicates_below_the_cycle(text, cycle):
+    # p0, a and b hang below the cycle: they are never ready, yet on no cycle.
+    with pytest.raises(RecursiveTemplateError) as exc:
+        check_nonrecursive(parse_template(text, "src"))
+    assert sorted(exc.value.cycle) == cycle
+
+
 def test_facts_alone_are_nonrecursive():
     t = parse_template("1.0 :: p(a).\n? :: q(X,Y).", "src")
     order = check_nonrecursive(t)
