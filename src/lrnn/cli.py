@@ -63,6 +63,15 @@ def _load_inputs(args):
     return template, examples
 
 
+def _check_outputs(*paths):
+    """Fail before any work on an output file that could not be written:
+    it must name no directory and sit in one that exists.  Nothing is
+    created or truncated here."""
+    for path in filter(None, paths):
+        if Path(path).is_dir() or not Path(path).parent.is_dir():
+            raise OSError(f"{path} is not a file in an existing directory")
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -96,6 +105,7 @@ def _train_config(args) -> TrainConfig:
 
 
 def cmd_train(args) -> int:
+    _check_outputs(args.out_params, args.report)
     template, examples = _load_inputs(args)
     queries = parse_queries(_read(args.queries), Path(args.queries).name)
     task = TrainingTask(template, examples, queries, _train_config(args),
@@ -113,6 +123,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _check_outputs(args.out)
     template, examples = _load_inputs(args)
     queries = parse_queries(_read(args.queries), Path(args.queries).name)
     params = template.params
@@ -136,6 +147,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_xval(args) -> int:
+    _check_outputs(args.out)
     template, examples = _load_inputs(args)
     queries = parse_queries(_read(args.queries), Path(args.queries).name)
     results = crossvalidate(template, examples, queries, args.folds, args.lr_grid,

@@ -39,9 +39,15 @@ Three passes read the format:
               for an atom, the same weight refs compute the same value,
               so one is kept (all facts become one neuron) and `forward`
               over the merged network gives every original value
+
+The merge has two uses in training: the cost pass prices all queried
+examples on one network merged from all of them, and the online step
+runs `forward` over each example's compact form (`GroundNetwork.compact`,
+the example merged on its own), expands the values back through the
+index and runs `backward` on the original network with them.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .activations import (AGGREGATION, CONJUNCTION, DISJUNCTION, WEIGHTED_SUM, operations,
                           winner)
@@ -69,6 +75,7 @@ class GroundNetwork:
     neurons: list
     outputs: dict  # ground Atom -> atom neuron id
     example_id: str | None = None
+    _compact: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def counts(self) -> tuple:
         """(atom, fact, rule, agg) neuron counts."""
@@ -79,6 +86,16 @@ class GroundNetwork:
 
     def edge_count(self) -> int:
         return sum(len(neuron.inputs) for neuron in self.neurons)
+
+    def compact(self) -> tuple:
+        """(network, index): this network merged on its own, and the merged
+        id of each of its neurons, built on the first call and kept; (self,
+        None) when the merge removes no neuron."""
+        if self._compact is None:
+            merged, (index,) = merge([self])
+            shrunk = len(merged.neurons) < len(self.neurons)
+            self._compact = (merged, index) if shrunk else (self, None)
+        return self._compact
 
 
 def build(grounding: Grounding, template: Template, example_id: str | None = None,

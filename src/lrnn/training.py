@@ -3,11 +3,13 @@ passes of `network`.
 
 Updates are online: after each example's queries are backpropagated,
 weights move at once by w <- w - lr * grad; with nothing learnable the
-online step is skipped and only the epoch cost is priced.  Restarts
-redraw the learnable weights from Uniform(init_range) with seeds derived
-from the master seed, and the restart with the lowest final training
-cost wins; a restart whose parameters or final cost go non-finite is
-skipped and noted in the report.
+online step is skipped and only the epoch cost is priced.  The online
+step's `forward` runs over the example's compact form and `backward`
+over the example's own network.  Restarts redraw the learnable weights
+from Uniform(init_range) with seeds derived from the master seed, and
+the restart with the lowest final training cost wins; a restart whose
+parameters or final cost go non-finite is skipped and noted in the
+report.
 """
 
 import hashlib
@@ -215,7 +217,11 @@ class CompiledTask:
 
 def sgd_epoch(compiled: CompiledTask, params, learnable, rng, epoch: int = 0) -> float:
     """One online pass: per-example gradient step, then the epoch cost
-    over all queries under the post-epoch parameters."""
+    over all queries under the post-epoch parameters.  Each step runs
+    `forward` over the example's compact form (built on its first step
+    and kept with the network, so xval's folds share it) and `backward`
+    over the network itself: a merged twin's value differs at most in
+    the sign of a zero, which no gradient tells apart."""
     if not learnable:  # no gradient would be applied
         return compiled.total_cost(params)
     task = compiled.task
@@ -228,7 +234,10 @@ def sgd_epoch(compiled: CompiledTask, params, learnable, rng, epoch: int = 0) ->
         if not queries:
             continue
         net = compiled.nets[idx]
-        vm = forward(net, params, task.family)
+        small, index = net.compact()
+        vm = forward(small, params, task.family)
+        if index is not None:  # every neuron of net takes its merged twin's value
+            vm.values = list(map(vm.values.__getitem__, index))
         query_grads = {}
         for q in queries:
             y, missing = vm.output(net, q.atom)

@@ -1,12 +1,13 @@
 """Shared test utilities: fixture loading, a small Graphviz structure
-checker, and a graph-level weight-untying transform."""
+checker, a graph-level weight-untying transform, and the online step's
+forward pass over a network's compact form."""
 
 import re
 
 from lrnn import ParameterStore, ParamRef
 from lrnn.fixtures import fixture_text
 from lrnn.logic import parse_examples, parse_queries, parse_template
-from lrnn.network import GroundNetwork, Neuron
+from lrnn.network import GroundNetwork, Neuron, ValueMap, forward
 
 
 def load_template(name, family="ms"):
@@ -81,3 +82,16 @@ def untied_copy(net, params):
     store = ParameterStore(values, frozenset(learnable), kinds)
     copy = GroundNetwork(neurons, dict(net.outputs), net.example_id)
     return copy, store, mapping
+
+
+def compact_forward(net, params, family):
+    """The online step's values: `forward` over the compact form, each
+    neuron given its merged twin's value."""
+    small, index = net.compact()
+    values = forward(small, params, family).values
+    return ValueMap(values if index is None else [values[i] for i in index], family)
+
+
+def grad_bits(grads):
+    """A gradient dict as (pid, exact bits) pairs, in its key order."""
+    return [(pid, g.hex()) for pid, g in grads.items()]

@@ -8,11 +8,13 @@ import pytest
 
 from lrnn import (Atom, CompiledTask, Example, QueryRow, TrainingTask, crossvalidate,
                   make_folds, parse_params, render_params)
-from lrnn.errors import ParseError
+from lrnn import cli
 from lrnn.cli import main
+from lrnn.errors import ParseError
 from lrnn.datasets import make_bond_dataset
 from lrnn.fixtures import fixture_dir, fixture_text
 from lrnn.logic import parse_template, render_examples
+from lrnn.network import GroundNetwork
 
 from helpers import check_dot
 
@@ -444,6 +446,17 @@ def test_predict_matches_library_scores(tmp_path):
         assert missing == ("true" if was_missing else "false")
 
 
+def test_predict_never_compacts_a_network(tmp_path, monkeypatch):
+    template_path, examples_path, queries_path = _bond_files(tmp_path, 6)
+    assert main(_train_args(tmp_path, template_path, examples_path, queries_path)) == 0
+    compacted = []
+    monkeypatch.setattr(GroundNetwork, "compact", lambda self: compacted.append(self))
+    rc = main(["predict", "--template", template_path, "--examples", examples_path,
+               "--queries", queries_path, "--params", str(tmp_path / "params.txt"),
+               "--out", str(tmp_path / "scores.csv")])
+    assert (rc, compacted) == (0, [])
+
+
 # ---------------------------------------------------------------------------
 # xval
 
@@ -604,6 +617,30 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, command, option, exist
     assert rc == 2
     err = capsys.readouterr().err
     assert "cannot write output" in err and str(path) in err
+
+
+@pytest.mark.parametrize("command, option", [
+    ("train", "--out-params"), ("train", "--report"), ("predict", "--out"), ("xval", "--out"),
+])
+@pytest.mark.parametrize("bad", ["missing directory", "directory"])
+def test_unwritable_output_is_found_before_any_work(tmp_path, capsys, monkeypatch, command,
+                                                    option, bad):
+    template, examples, queries = _bond_files(tmp_path, 4)
+    ran = []
+    for name in ("CompiledTask", "train", "crossvalidate"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name, **kwargs: ran.append(name))
+    path = tmp_path / "missing" / "out" if bad == "missing directory" else tmp_path
+    kept = tmp_path / "kept.txt"  # the other output, which must stay untouched
+    kept.write_text("keep\n", encoding="utf-8")
+    args = {"train": ["--out-params", str(kept), "--report", str(kept)],
+            "predict": [], "xval": ["--folds", "2"]}[command]
+    rc = main([command, "--template", template, "--examples", examples, "--queries", queries,
+               *args, option, str(path)])
+    assert (rc, ran) == (2, [])
+    err = capsys.readouterr().err
+    assert "cannot write output" in err and str(path) in err
+    assert kept.read_text(encoding="utf-8") == "keep\n"
+    assert not (tmp_path / "missing").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from lrnn import (Atom, CapacityError, ConstRef, Constant, ParamRef, build, export_dot,
-                  forward, ground, parse_examples, parse_template)
+from lrnn import (Atom, CapacityError, ConstRef, Constant, ParamRef, backward, build,
+                  export_dot, forward, ground, parse_examples, parse_template)
 from lrnn.fixtures import fixture_names
 from lrnn.network import AGG, ATOM, FACT, RULE
 
-from helpers import check_dot, load_examples, load_queries, load_template
+from helpers import (check_dot, compact_forward, grad_bits, load_examples, load_queries,
+                     load_template)
 from oracles import family_values, fuzzy_min_max_values, random_nonrecursive_program
 
 
@@ -198,14 +199,19 @@ def test_random_min_max_programs_match_oracle():
             assert abs(got - value) <= 1e-12, f"seed {seed}: {atom}"
 
 
+def _drawn_params(template, rng):
+    """A store with every parameter, fixed or learnable, drawn."""
+    params = template.params.copy()
+    for pid in params:
+        params[pid] = rng.uniform(-2.0, 2.0)
+    return params
+
+
 def _drawn_program(rng, weighted_facts):
     """A drawn program, its facts and a store with every parameter drawn."""
     template, facts = random_nonrecursive_program(rng, weighted_facts=weighted_facts,
                                                   learnable_rules=True)
-    params = template.params.copy()
-    for pid in params:
-        params[pid] = rng.uniform(-2.0, 2.0)
-    return template, facts, params
+    return template, facts, _drawn_params(template, rng)
 
 
 def _oracle_mismatches(template, facts, params, net, family):
@@ -298,6 +304,68 @@ def test_example_fact_order_does_not_change_values():
         net = build(ground(t, tuple(shuffled)), t)
         for family in ("godel", "ms", "as"):
             assert forward(net, t.params, family).output(net, query) == reference[family]
+
+
+# ---------------------------------------------------------------------------
+# The compact form: one network merged on its own
+
+
+def _check_compact(net, params, rng):
+    """The compact form against the network it came from: structure,
+    and under every family the values and gradients."""
+    small, index = net.compact()
+    assert net.compact() is net.compact()  # built once
+    if index is None:
+        assert small is net
+        return
+    assert len(small.neurons) < len(net.neurons)
+    # Every neuron's merged twin computes the same thing from the twins
+    # of its inputs, so every path of the merged network maps back to one
+    # of the original.
+    for n in net.neurons:
+        twin = small.neurons[index[n.nid]]
+        assert twin.nid == index[n.nid]
+        assert (twin.kind, twin.offset_pid, twin.weights) == (n.kind, n.offset_pid, n.weights)
+        assert twin.inputs == tuple(index[s] for s in n.inputs)
+    seeds = {atom: rng.uniform(-1.0, 1.0) for atom in net.outputs}
+    for family in ("godel", "ms", "as"):
+        got, want = compact_forward(net, params, family), forward(net, params, family)
+        # == tells values apart by their bits, except for the sign of a zero.
+        assert got.values == want.values, family
+        assert grad_bits(backward(net, got, seeds, params)) == \
+            grad_bits(backward(net, want, seeds, params)), family
+
+
+def test_compact_form_matches_the_network_on_fixtures():
+    shrunk = 0
+    for name in fixture_names():
+        t = load_template(name)
+        rng = random.Random(name)
+        for ex in load_examples(name):
+            net = build(ground(t, ex.facts), t, ex.example_id)
+            _check_compact(net, _drawn_params(t, rng), rng)
+            shrunk += net.compact()[1] is not None
+    assert shrunk
+
+
+@given(rng=st.randoms(use_true_random=False), weighted_facts=st.booleans())
+def test_compact_form_matches_the_network_on_drawn_programs(rng, weighted_facts):
+    template, facts, params = _drawn_program(rng, weighted_facts)
+    _check_compact(build(ground(template, facts), template), params, rng)
+
+
+def test_compact_form_merges_equal_neurons_of_one_network():
+    # e(a) and e(b) read the one fact neuron through equal weights, so
+    # everything above them merges; f(a) has a weight of its own.
+    t = parse_template("0.5 :: p(X) :- e(X).", "src")
+    facts = ((1.0, _atom("e", "a")), (1.0, _atom("e", "b")), (2.0, _atom("f", "a")))
+    net = build(ground(t, facts), t)
+    small, index = net.compact()
+    assert net.counts() == (5, 3, 2, 2)
+    assert small.counts() == (3, 1, 1, 1)
+    out = net.outputs
+    assert index[out[_atom("p", "a")]] == index[out[_atom("p", "b")]]
+    assert index[out[_atom("e", "a")]] != index[out[_atom("f", "a")]]
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,15 @@ from lrnn import (FAMILIES, AllRestartsFailedError, Atom, CompiledTask, Constant
                   DivergenceError, TrainConfig, TrainingTask, backward, build,
                   compile_networks, cost, crossvalidate, derive_seed, forward, ground,
                   parse_examples, parse_template, sgd_epoch, sigmoid, train, zero_one_error)
-from lrnn import training
+from lrnn import network, training
 from lrnn.datasets import make_bond_dataset, planted_label
 from lrnn.fixtures import fixture_names
 from lrnn.logic import Example, QueryRow
+from lrnn.network import GroundNetwork
 from lrnn.training import COST_KINDS
 
-from helpers import load_examples, load_queries, load_template, untied_copy
+from helpers import (compact_forward, grad_bits, load_examples, load_queries, load_template,
+                     untied_copy)
 from oracles import (central_difference, per_example_total_cost, random_gradcheck_instance,
                      random_nonrecursive_program, randomize_params, rel_close)
 
@@ -604,6 +606,83 @@ def test_signed_zero_fact_weights_cost_the_same(family):
             got, want = _cost_bits(compiled, template.params)
             assert got == want, kind
         assert len(compiled._shared[0].neurons) == len(compiled.nets[0].neurons)
+
+
+# ---------------------------------------------------------------------------
+# The online step over each example's compact form
+
+
+def _train_bits(task, monkeypatch, compact):
+    """train() with or without the compact form: (parameter bits, report)."""
+    with monkeypatch.context() as m:
+        if not compact:
+            m.setattr(GroundNetwork, "compact", lambda self: (self, None))
+        params, report = train(task, CompiledTask(task))
+    return [(pid, params[pid].hex()) for pid in params], report.jsonl()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("name", fixture_names())
+def test_training_is_the_same_with_and_without_compaction(name, family, monkeypatch):
+    template = load_template(name, family)
+    task = TrainingTask(template, load_examples(name), load_queries(name),
+                        TrainConfig(learning_rate=2.0, epochs=3, restarts=2, seed=7), family)
+    assert _train_bits(task, monkeypatch, True) == _train_bits(task, monkeypatch, False)
+
+
+def test_signed_zero_facts_train_the_same_with_and_without_compaction(monkeypatch):
+    # Under godel p(b) = max(w * 1.0, -0.0) = -0.0 for w < 0; the compact
+    # form merges p(b) into p(a), whose value is 0.0.
+    template = parse_template("? :: p(X) :- e(X).\n? :: q :- p(X).", "t")
+    (ex,) = parse_examples("#example z\n1.0 :: e(a).\n1.0 :: e(b).\n0.0 :: p(a).\n-0.0 :: p(b).\n")
+    queries = [QueryRow("z", Atom("q", ()), 1.0), QueryRow("z", _atom("p", "b"), 0.0)]
+    cfg = TrainConfig(learning_rate=0.5, epochs=4, restarts=3, init_range=(-1.0, -0.1))
+    flipped = 0
+    for family in FAMILIES:
+        task = TrainingTask(template, [ex], queries, cfg, family)
+        compiled = CompiledTask(task)
+        net, params = compiled.nets[0], compiled.initial_params(1)
+        got, want = compact_forward(net, params, family), forward(net, params, family)
+        assert got.values == want.values
+        flipped += [v.hex() for v in got.values] != [v.hex() for v in want.values]
+        seeds = {q.atom: 0.25 for q in queries}
+        assert grad_bits(backward(net, got, seeds, params)) == \
+            grad_bits(backward(net, want, seeds, params))
+        assert _train_bits(task, monkeypatch, True) == _train_bits(task, monkeypatch, False)
+    assert flipped  # the example does show a zero whose sign the merge flips
+
+
+def _count_compactions(monkeypatch):
+    """The networks passed to each merge the compact form makes."""
+    merged = []
+    real = network.merge
+
+    def counting(nets):
+        merged.append([id(net) for net in nets])
+        return real(nets)
+
+    monkeypatch.setattr(network, "merge", counting)
+    return merged
+
+
+def test_crossvalidate_compacts_each_example_at_most_once(monkeypatch):
+    template = load_template("explosives")
+    examples, queries = make_bond_dataset(10, seed=0)
+    merged = _count_compactions(monkeypatch)
+    crossvalidate(template, examples, queries, 5, [0.5, 2.0], [1, 2], 2, 0, "ms")
+    nets = [net_id for call in merged for net_id in call]
+    assert all(len(call) == 1 for call in merged)
+    assert 0 < len(nets) == len(set(nets)) <= len(examples)
+
+
+def test_scores_never_compact(monkeypatch):
+    template = load_template("explosives")
+    examples, queries = make_bond_dataset(6, seed=1)
+    merged = _count_compactions(monkeypatch)
+    compiled = CompiledTask(TrainingTask(template, examples, queries, TrainConfig(), "ms"))
+    compiled.scores(compiled.initial_params(3))
+    assert merged == []
+    assert all(net._compact is None for net in compiled.nets)
 
 
 def _count_calls(monkeypatch, name):
