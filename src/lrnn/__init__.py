@@ -8,13 +8,13 @@ are learned by online SGD.
 """
 
 from .activations import (AVG_SIGMOID, FAMILIES, GODEL, MAX_SIGMOID, eval_agg, eval_conj,
-                          eval_disj, local_gradient, sigmoid)
+                          eval_disj, sigmoid)
 from .errors import (AllRestartsFailedError, CapacityError, DivergenceError,
                      EmptyInputError, LrnnError, ParseError, RecursiveTemplateError)
-from .grounding import (DEFAULT_CAPACITY, ConstRef, Grounding, GroundRuleInstance,
-                        HerbrandModel, ParamRef, ground, least_herbrand_model)
+from .grounding import (DEFAULT_CAPACITY, ConstRef, Grounding, ParamRef, ground,
+                        least_herbrand_model)
 from .logic import (Atom, Constant, Example, ParameterStore, QueryRow, Template,
-                    Variable, WeightedClause, apply, check_nonrecursive, make_template,
+                    Variable, WeightedClause, check_nonrecursive, make_template,
                     parse_examples, parse_params, parse_queries, parse_template,
                     render_clause, render_examples, render_params, render_template)
 from .network import GroundNetwork, Neuron, ValueMap, backward, build, export_dot, forward

@@ -20,8 +20,9 @@ in every family.  `operations(family)` is the one table of formulas:
 each operation's value function and its local slope, derived from the
 value: v(1 - v) for a sigmoid, 1/m for a mean of m, 1 for a linear sum,
 and for a min or max a unit slope on the winning input, the lowest index
-among ties.  `forward` and `backward` look a family up once per pass;
-the public eval_* and `local_gradient` check their arguments first.
+among ties.  `forward` and `backward` look a family up once per pass.
+The public eval_* check their arguments first; no pass calls them, and
+they stay because the benchmark's traced run counts their calls.
 """
 
 import math
@@ -149,11 +150,3 @@ def eval_agg(family: str, inputs) -> float:
 def eval_disj(family: str, inputs, offset: float = DISJ_OFFSET_INIT) -> float:
     return _checked(family, DISJUNCTION, inputs)(inputs, offset)
 
-
-def local_gradient(family: str, op: str, inputs, value: float) -> tuple:
-    """(winner, slope) of an `op` neuron whose forward pass gave `value`:
-    (`winner`, 1) for a min or max, else (None, d value / d input)."""
-    slope = operations(family)[op][1]
-    if slope is None:
-        return winner(inputs, value), 1.0
-    return None, slope(len(inputs), value)

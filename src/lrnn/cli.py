@@ -24,7 +24,7 @@ import os
 import sys
 from pathlib import Path
 
-from .activations import FAMILIES
+from .activations import FAMILIES, MAX_SIGMOID
 from .errors import CapacityError, LrnnError, ParseError, RecursiveTemplateError
 from .grounding import DEFAULT_CAPACITY
 from .logic import parse_examples, parse_params, parse_queries, parse_template, render_params
@@ -190,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--template", required=True, help="template file")
         p.add_argument("--examples", required=True, help="example set file")
         if family:
-            p.add_argument("--family", choices=FAMILIES, default="ms",
-                           help="activation family (default ms)")
+            p.add_argument("--family", choices=FAMILIES, default=MAX_SIGMOID,
+                           help=f"activation family (default {MAX_SIGMOID})")
 
     p = sub.add_parser("ground", help="write instance lists and neuron stats")
     add_common(p, family=False)

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 
-from .activations import CONJ_OFFSET_INIT, DISJ_OFFSET_INIT
+from .activations import CONJ_OFFSET_INIT, DISJ_OFFSET_INIT, MAX_SIGMOID
 from .errors import ParseError, RecursiveTemplateError
 
 # Initial values: learnable clause weights are placeholders until a
@@ -90,13 +90,6 @@ class Atom:
         if not self.args:
             return self.pred
         return f"{self.pred}({','.join(str(t) for t in self.args)})"
-
-
-def apply(subst: dict, atom: Atom) -> Atom:
-    """Replace every variable `subst` maps to a constant; unmapped variables stay."""
-    if not atom.args:
-        return atom
-    return Atom(atom.pred, tuple(subst.get(t, t) if isinstance(t, Variable) else t for t in atom.args))
 
 
 def ground_atom_key(atom: Atom) -> tuple:
@@ -223,7 +216,7 @@ class Template:
     clauses: tuple
     params: ParameterStore
     source: str = "template"
-    family: str = "ms"
+    family: str = MAX_SIGMOID
 
     def signatures(self) -> list:
         seen = {}
@@ -299,7 +292,7 @@ class _Plan:
     constants: frozenset  # names of the constants the clauses mention
 
 
-def make_template(clauses, source: str = "template", family: str = "ms") -> Template:
+def make_template(clauses, source: str = "template", family: str = MAX_SIGMOID) -> Template:
     values, learnable, kinds = {}, set(), {}
     for c in clauses:
         values[c.weight_ref] = LEARNABLE_WEIGHT_INIT if c.weight is None else c.weight
@@ -484,7 +477,7 @@ class _Parser:
         return weight, head, tuple(body)
 
 
-def parse_template(text: str, source: str = "template", family: str = "ms") -> Template:
+def parse_template(text: str, source: str = "template", family: str = MAX_SIGMOID) -> Template:
     p = _Parser(text, source, allow_headers=False)
     clauses = []
     while p.tok[0] != "eof":

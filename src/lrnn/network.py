@@ -43,8 +43,9 @@ Three passes read the format:
 The merge has two uses in training: the cost pass prices all queried
 examples on one network merged from all of them, and the online step
 runs `forward` over each example's compact form (`GroundNetwork.compact`,
-the example merged on its own), expands the values back through the
-index and runs `backward` on the original network with them.
+the example merged on its own, even where nothing merges), expands the
+values back through the index and runs `backward` on the original
+network with them.
 """
 
 from dataclasses import dataclass, field
@@ -89,12 +90,10 @@ class GroundNetwork:
 
     def compact(self) -> tuple:
         """(network, index): this network merged on its own, and the merged
-        id of each of its neurons, built on the first call and kept; (self,
-        None) when the merge removes no neuron."""
+        id of each of its neurons, built on the first call and kept."""
         if self._compact is None:
             merged, (index,) = merge([self])
-            shrunk = len(merged.neurons) < len(self.neurons)
-            self._compact = (merged, index) if shrunk else (self, None)
+            self._compact = (merged, index)
         return self._compact
 
 

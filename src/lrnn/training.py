@@ -8,8 +8,8 @@ step's `forward` runs over the example's compact form and `backward`
 over the example's own network.  Restarts redraw the learnable weights
 from Uniform(init_range) with seeds derived from the master seed, and
 the restart with the lowest final training cost wins; a restart whose
-parameters or final cost go non-finite is skipped and noted in the
-report.
+parameters, final cost or final scores go non-finite is skipped and
+noted in the report.
 """
 
 import hashlib
@@ -18,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .activations import AVG_SIGMOID, MAX_SIGMOID, operations, sigmoid
+from .activations import CONJUNCTION, operations, sigmoid
 from .errors import AllRestartsFailedError, DivergenceError
 from .grounding import DEFAULT_CAPACITY, ground
 from .logic import KIND_WEIGHT, ParameterStore, QueryRow, Template
@@ -162,7 +162,8 @@ class CompiledTask:
     def learnable(self) -> frozenset:
         params = self.task.template.params
         pids = {pid for pid in params.learnable if params.kinds[pid] == KIND_WEIGHT}
-        if self.task.config.train_offsets and self.task.family in (MAX_SIGMOID, AVG_SIGMOID):
+        slope = operations(self.task.family)[CONJUNCTION][1]
+        if self.task.config.train_offsets and slope is not None:  # a min ignores its offset
             pids.update(pid for pid in params.learnable if params.kinds[pid] != KIND_WEIGHT)
         return frozenset(pids)
 
@@ -175,7 +176,8 @@ class CompiledTask:
         return params
 
     def total_cost(self, params) -> float:
-        """Summed cost of every query, in input order."""
+        """Summed cost of every query, in input order; NaN when a score
+        is not finite, since a cost would hide an infinite score."""
         if not self._priced:
             self._priced = True
             pairs = [(q.target, y) for q, y, _missing in self.scores(params)]
@@ -186,8 +188,9 @@ class CompiledTask:
             values = forward(net, params, self.task.family).values
             pairs = [(target, 0.0 if nid is None else values[nid]) for target, nid in rows]
         total = 0.0
+        kind = self.task.config.cost_kind
         for target, y in pairs:
-            total += cost(y, target, self.task.config.cost_kind)[0]
+            total += cost(y, target, kind)[0] if math.isfinite(y) else math.nan
         return total
 
     def _share(self) -> tuple:
@@ -236,8 +239,7 @@ def sgd_epoch(compiled: CompiledTask, params, learnable, rng, epoch: int = 0) ->
         net = compiled.nets[idx]
         small, index = net.compact()
         vm = forward(small, params, task.family)
-        if index is not None:  # every neuron of net takes its merged twin's value
-            vm.values = list(map(vm.values.__getitem__, index))
+        vm.values = list(map(vm.values.__getitem__, index))  # each neuron's merged twin
         query_grads = {}
         for q in queries:
             y, missing = vm.output(net, q.atom)

@@ -89,7 +89,7 @@ def compact_forward(net, params, family):
     neuron given its merged twin's value."""
     small, index = net.compact()
     values = forward(small, params, family).values
-    return ValueMap(values if index is None else [values[i] for i in index], family)
+    return ValueMap([values[i] for i in index], family)
 
 
 def grad_bits(grads):

@@ -10,8 +10,8 @@ seeded and class-balanced.
 
 import random
 
-from .logic import Atom, Constant, Example, QueryRow
-from .training import derive_seed
+from lrnn.logic import Atom, Constant, Example, QueryRow
+from lrnn.training import derive_seed
 
 ATOM_TYPES = ("o", "h", "n")
 QUERY_ATOM = Atom("explosive")

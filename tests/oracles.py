@@ -12,8 +12,15 @@ import itertools
 import math
 import random
 
-from lrnn import (Atom, Constant, Variable, WeightedClause, apply, cost, forward,
-                  make_template, sigmoid)
+from lrnn import (Atom, Constant, Variable, WeightedClause, cost, forward, make_template,
+                  sigmoid)
+
+
+def apply(subst: dict, atom: Atom) -> Atom:
+    """Replace every variable `subst` maps to a constant; unmapped variables stay."""
+    if not atom.args:
+        return atom
+    return Atom(atom.pred, tuple(subst.get(t, t) if isinstance(t, Variable) else t for t in atom.args))
 
 
 def clause_variables(atoms):

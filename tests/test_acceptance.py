@@ -11,13 +11,13 @@ from lrnn import (Atom, CompiledTask, Constant, TrainConfig, TrainingTask,
                   backward, build, cost, forward, ground, train,
                   zero_one_error)
 from lrnn.cli import crossvalidate, main
-from lrnn.datasets import make_bond_dataset
 from lrnn.fixtures import fixture_dir
 from lrnn.grounding import least_herbrand_model
 from lrnn.logic import Example, render_examples
 from lrnn.network import AGG, RULE
 
 from helpers import load_examples, load_template, untied_copy
+from molecules import make_bond_dataset
 from oracles import (central_difference, fuzzy_min_max_values, naive_model,
                      random_gradcheck_instance, random_nonrecursive_program,
                      rel_close)

@@ -5,8 +5,8 @@ import math
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from lrnn import EmptyInputError, eval_agg, eval_conj, eval_disj, local_gradient, sigmoid
-from lrnn.activations import operations
+from lrnn import EmptyInputError, eval_agg, eval_conj, eval_disj, sigmoid
+from lrnn.activations import operations, winner
 
 from oracles import central_difference
 
@@ -16,6 +16,16 @@ OPS = {
     "agg": lambda fam, xs, off=None: eval_agg(fam, xs),
     "disj": lambda fam, xs, off=0.0: eval_disj(fam, xs, off),
 }
+
+
+def local_gradient(family, op, xs, value):
+    """(winner, slope) of an `op` neuron whose value is `value`, as the
+    reverse sweep reads the family's table: (`winner`, 1) for a min or
+    max, else (None, d value / d input)."""
+    slope = operations(family)[op][1]
+    if slope is None:
+        return winner(xs, value), 1.0
+    return None, slope(len(xs), value)
 
 
 def partials(family, op, xs, value):

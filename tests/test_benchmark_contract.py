@@ -4,6 +4,7 @@ Each run goes on a copy of the checkout, so the runs' `.perfbench/`
 outputs stay out of the source tree.
 """
 
+import importlib.util
 import json
 import shutil
 import subprocess
@@ -14,6 +15,16 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+
+
+def test_traced_run_finds_every_function_it_measures():
+    # The traced run looks the library's functions up by name; one that is
+    # gone leaves its per-layer metrics out of the result line.
+    import lrnn.cli  # noqa: F401  (the traced run reads crossvalidate from it)
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.Tracer().unmeasured() == [], "per-layer metrics the traced run cannot measure"
 
 
 def _reject_constant(name):

@@ -7,11 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lrnn import (Atom, CapacityError, ConstRef, Constant, ParamRef, RecursiveTemplateError,
-                  Variable, apply, build, check_nonrecursive, ground, grounding,
+                  Variable, build, check_nonrecursive, ground, grounding,
                   least_herbrand_model, logic, parse_examples, parse_template)
 
 from helpers import load_examples, load_template
-from oracles import (naive_instances, naive_model, naive_template_facts,
+from oracles import (apply, naive_instances, naive_model, naive_template_facts,
                      random_nonrecursive_program)
 
 

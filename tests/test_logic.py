@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lrnn import (Atom, Constant, ParseError, RecursiveTemplateError, Variable,
-                  WeightedClause, apply, check_nonrecursive, make_template,
+                  WeightedClause, check_nonrecursive, make_template,
                   parse_examples, parse_queries, parse_template, render_clause,
                   render_examples, render_template)
 
 from helpers import load_template
-from oracles import random_nonrecursive_program
+from oracles import apply, random_nonrecursive_program
 
 import random
 

@@ -13,7 +13,6 @@ from lrnn import (FAMILIES, AllRestartsFailedError, Atom, CompiledTask, Constant
                   compile_networks, cost, crossvalidate, derive_seed, forward, ground,
                   parse_examples, parse_template, sgd_epoch, sigmoid, train, zero_one_error)
 from lrnn import network, training
-from lrnn.datasets import make_bond_dataset, planted_label
 from lrnn.fixtures import fixture_names
 from lrnn.logic import Example, QueryRow
 from lrnn.network import GroundNetwork
@@ -21,6 +20,7 @@ from lrnn.training import COST_KINDS
 
 from helpers import (compact_forward, grad_bits, load_examples, load_queries, load_template,
                      untied_copy)
+from molecules import make_bond_dataset, planted_label
 from oracles import (central_difference, per_example_total_cost, random_gradcheck_instance,
                      random_nonrecursive_program, randomize_params, rel_close)
 
@@ -417,6 +417,17 @@ def test_offsets_follow_family_and_freeze_flag():
     assert not any(pid.endswith((":conj", ":disj")) for pid in learnable)
 
 
+@pytest.mark.parametrize("train_offsets", [True, False])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_learnable_sets_per_family(family, train_offsets):
+    weights = {"pressure:0", "pressure:1", "pressure:2"}
+    offsets = {"pressure:0:conj", "pressure:1:conj", "pressure:2:conj", "pressure:0:disj"}
+    tiny = _tiny_task(train_offsets=train_offsets)
+    task = TrainingTask(tiny.template, tiny.examples, tiny.queries, tiny.config, family)
+    want = weights | offsets if train_offsets and family != "godel" else weights
+    assert CompiledTask(task).learnable() == want
+
+
 def test_frozen_offsets_keep_initial_values():
     task = _tiny_task(epochs=5, train_offsets=False)
     params, _ = train(task)
@@ -616,7 +627,8 @@ def _train_bits(task, monkeypatch, compact):
     """train() with or without the compact form: (parameter bits, report)."""
     with monkeypatch.context() as m:
         if not compact:
-            m.setattr(GroundNetwork, "compact", lambda self: (self, None))
+            m.setattr(GroundNetwork, "compact",
+                      lambda self: (self, list(range(len(self.neurons)))))
         params, report = train(task, CompiledTask(task))
     return [(pid, params[pid].hex()) for pid in params], report.jsonl()
 
