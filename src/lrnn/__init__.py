@@ -11,8 +11,7 @@ from .activations import (AVG_SIGMOID, FAMILIES, GODEL, MAX_SIGMOID, eval_agg, e
                           eval_disj, sigmoid)
 from .errors import (AllRestartsFailedError, CapacityError, DivergenceError,
                      EmptyInputError, LrnnError, ParseError, RecursiveTemplateError)
-from .grounding import (DEFAULT_CAPACITY, ConstRef, Grounding, ParamRef, ground,
-                        least_herbrand_model)
+from .grounding import DEFAULT_CAPACITY, Grounding, ground, least_herbrand_model
 from .logic import (Atom, Constant, Example, ParameterStore, QueryRow, Template,
                     Variable, WeightedClause, check_nonrecursive, make_template,
                     parse_examples, parse_params, parse_queries, parse_template,

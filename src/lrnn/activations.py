@@ -32,7 +32,6 @@ from .errors import EmptyInputError
 GODEL = "godel"
 MAX_SIGMOID = "ms"
 AVG_SIGMOID = "as"
-FAMILIES = (GODEL, MAX_SIGMOID, AVG_SIGMOID)
 
 # The operation a neuron applies to its inputs; WEIGHTED_SUM is the
 # fact-only atom's pass-through.
@@ -56,15 +55,12 @@ def sigmoid(x: float) -> float:
     return z / (1.0 + z)
 
 
-# math.fsum raises where finite terms overflow and on inf + -inf; the
-# sums below then fall back to the float sum, which is +-inf or NaN.
-_FSUM_FAULTS = (OverflowError, ValueError)
-
-
 def _sum(xs):
+    # math.fsum raises where finite terms overflow and on inf + -inf; the
+    # float sum is then +-inf or NaN.
     try:
         return math.fsum(xs)
-    except _FSUM_FAULTS:
+    except (OverflowError, ValueError):
         return sum(xs)
 
 
@@ -75,24 +71,15 @@ def _mean(inputs):
 
 
 def _sigmoid_conj(xs, b):
-    try:
-        return sigmoid(math.fsum(xs) - len(xs) + b)
-    except _FSUM_FAULTS:
-        return sigmoid(sum(xs) - len(xs) + b)
+    return sigmoid(_sum(xs) - len(xs) + b)
 
 
 def _sigmoid_disj(xs, b):
-    try:
-        return sigmoid(math.fsum(xs) + b)
-    except _FSUM_FAULTS:
-        return sigmoid(sum(xs) + b)
+    return sigmoid(_sum(xs) + b)
 
 
 def _linear_disj(xs, b):
-    try:
-        return math.fsum(xs) + b
-    except _FSUM_FAULTS:
-        return sum(xs) + b
+    return _sum(xs) + b
 
 
 def _logistic(count, value):
@@ -115,6 +102,7 @@ _OPERATIONS = {
     AVG_SIGMOID: {CONJUNCTION: _SIGMOID_CONJ, AGGREGATION: (_mean, lambda n, v: 1.0 / n),
                   DISJUNCTION: (_linear_disj, _unit), WEIGHTED_SUM: _SUM},
 }
+FAMILIES = tuple(_OPERATIONS)
 
 
 def operations(family: str) -> dict:

@@ -41,7 +41,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CapacityError
-from .logic import Atom, Constant, ConstRef, ParamRef, Template, _compile_pattern, _Rule
+from .logic import Atom, Constant, Template, _compile_pattern, _Rule
 
 DEFAULT_CAPACITY = 10**7
 
@@ -67,7 +67,7 @@ class GroundRuleInstance:
 class Grounding:
     model: HerbrandModel
     instances: tuple  # GroundRuleInstance, ordered by (clause ordinal, theta)
-    ground_facts: tuple  # (Atom, ParamRef | ConstRef), template facts then example facts
+    ground_facts: tuple  # (Atom, pid or fixed weight), template facts then example facts
 
 
 def _bind(free, row, subst) -> dict | None:
@@ -218,7 +218,7 @@ def ground(template: Template, example_facts=(), capacity: int = DEFAULT_CAPACIT
                           for pred, pattern in rule.body_pats])
             instances.append(GroundRuleInstance(rule.clause_id, theta, head, body))
 
-    ground_facts = [(table[c.head.pred, row], ParamRef(c.weight_ref))
+    ground_facts = [(table[c.head.pred, row], c.weight_ref)
                     for c, rows in fact_rows for row in rows]
-    ground_facts.extend((atom, ConstRef(weight)) for weight, atom in example_facts)
+    ground_facts.extend((atom, weight) for weight, atom in example_facts)
     return Grounding(model, tuple(instances), tuple(ground_facts))

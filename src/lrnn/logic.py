@@ -127,20 +127,6 @@ class WeightedClause:
         return render_clause(self)
 
 
-@dataclass(frozen=True, slots=True)
-class ParamRef:
-    """Edge weight taken from the shared parameter store."""
-
-    pid: str
-
-
-@dataclass(frozen=True, slots=True)
-class ConstRef:
-    """Fixed edge weight (structural 1.0 or an example fact value)."""
-
-    value: float
-
-
 class ParameterStore:
     """Named real parameters shared across all ground networks.
 
@@ -187,8 +173,8 @@ def render_params(params: ParameterStore) -> str:
 
 
 def parse_params(text: str, base: ParameterStore, source: str = "params") -> ParameterStore:
-    """Overlay a parameter file onto the template's store."""
-    params = base.copy()
+    """Overlay a parameter file onto the template's store; each id at most once."""
+    params, seen = base.copy(), set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("%", 1)[0].strip()
         if not line:
@@ -199,6 +185,9 @@ def parse_params(text: str, base: ParameterStore, source: str = "params") -> Par
         pid = parts[1]
         if pid not in params:
             raise ParseError(f"unknown parameter id {pid!r}", source, lineno, 1)
+        if pid in seen:
+            raise ParseError(f"parameter {pid!r} is given twice", source, lineno, 1)
+        seen.add(pid)
         try:
             value = float(parts[3])
         except ValueError:
@@ -282,7 +271,7 @@ class _Rule:
             self.body.append((b.signature, key_pos, tuple(pattern[i] for i in key_pos), free))
             bound.update(name for _, name in free)
         self.head_only = sorted(v.name for v in clause.head_only_variables())
-        self.weight, self.conj, self.disj = ParamRef(clause.weight_ref), conj, disj
+        self.weight, self.conj, self.disj = clause.weight_ref, conj, disj
 
 
 @dataclass(frozen=True, slots=True)
@@ -501,6 +490,11 @@ def _parse_sections(text: str, source: str, targets: bool) -> list:
     p = _Parser(text, source, allow_headers=True)
     examples, ids = [], set()
     current, facts = None, []
+    # A '?' weight, a body and a variable are worded for the file's kind.
+    no_weight, no_body, noun = (
+        ("query targets need a fixed decimal value", "queries may contain only atoms", "query")
+        if targets else ("example facts need a fixed decimal weight",
+                         "examples may contain only facts", "example fact"))
 
     def close():
         if current is not None:
@@ -520,11 +514,11 @@ def _parse_sections(text: str, source: str, targets: bool) -> list:
             p.error("facts must appear under an '#example <id>' header", i)
         weight, head, body = p.clause_statement()
         if weight is None:
-            p.error("example facts need a fixed decimal weight, not '?'", i)
+            p.error(f"{no_weight}, not '?'", i)
         if body:
-            p.error("examples may contain only facts (no ':-' bodies)", i)
+            p.error(f"{no_body} (no ':-' bodies)", i)
         if not head.is_ground():
-            p.error(f"example fact {head} is not ground", i)
+            p.error(f"{noun} {head} is not ground", i)
         if targets and not 0.0 <= weight <= 1.0:
             p.error(f"query target {weight!r} for {head} is outside [0, 1]", i)
         facts.append((weight, head))

@@ -1,27 +1,28 @@
 """Ground neural networks: the one format, and the three passes over it.
 
-One network per example.  Four neuron kinds, wired bottom-up:
+One network per example.  A neuron's id is its position in the list.
+Four neuron kinds, wired bottom-up:
 
     fact  - one per weighted ground fact, constant output 1.0; the fact
             weight sits on its outgoing edge
     rule  - one per active ground rule instance, conjunction over the
-            body atom neurons (unit edge weights)
+            body atom neurons
     agg   - one per (clause, ground head) with instances, aggregation
-            over that clause's rule neurons (unit edge weights)
+            over that clause's rule neurons
     atom  - one per distinct ground atom, disjunction over its clauses'
             aggregation neurons (edge weight = clause weight parameter)
             and its fact neurons (edge weight = fact weight); an atom fed
             by facts alone skips the disjunction and outputs the weighted
             sum directly
 
-`build` counts an example's neurons before allocating any, and raises
-CapacityError when they exceed the grounding budget.
-
-Shared parameters appear on edges as ParamRef and at most once on any
-simple path, so accumulated gradients stay exact.  Neuron order is
-topological and deterministic: facts first, then predicates from the
-leaves of the template dependency order upward, atoms sorted within a
-predicate.
+Rule and aggregation edges have unit weight and store none.  An atom
+edge's weight is a parameter id (`str`) or a fixed number (`float`).  A
+shared parameter appears at most once on any simple path, so accumulated
+gradients stay exact.  `build` counts an example's neurons before
+allocating any, and raises CapacityError when they exceed the grounding
+budget.  Neuron order is topological and deterministic: facts first,
+then predicates from the leaves of the template dependency order upward,
+atoms sorted within a predicate.
 
 Three passes read the format:
 
@@ -36,7 +37,7 @@ Three passes read the format:
               parameter's gradient over all of its edges
     merge     hash-conses networks into one: neurons of the same kind,
               with the same merged inputs in order, the same offset and,
-              for an atom, the same weight refs compute the same value,
+              for an atom, the same weights compute the same value,
               so one is kept (all facts become one neuron) and `forward`
               over the merged network gives every original value
 
@@ -49,25 +50,23 @@ network with them.
 """
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 from .activations import (AGGREGATION, CONJUNCTION, DISJUNCTION, WEIGHTED_SUM, operations,
                           winner)
 from .errors import CapacityError
 from .grounding import DEFAULT_CAPACITY, Grounding
-from .logic import Atom, ConstRef, ParamRef, Template, ground_atom_key
+from .logic import Atom, Template, ground_atom_key
 
 FACT, ATOM, RULE, AGG = 0, 1, 2, 3
-
-_UNIT = ConstRef(1.0)
 
 
 @dataclass(slots=True)
 class Neuron:
-    nid: int
     kind: int
     origin: object  # Atom (fact, atom) or (clause_id, head Atom) (rule, agg)
     inputs: tuple = ()  # neuron ids, evaluation order
-    weights: tuple = ()  # ParamRef | ConstRef, parallel to inputs
+    weights: tuple = ()  # atom only: parameter id or number, parallel to inputs
     offset_pid: str | None = None  # conj offset (rule) or disj offset (atom)
 
 
@@ -126,30 +125,26 @@ def build(grounding: Grounding, template: Template, example_id: str | None = Non
     neurons, outputs = [], {}
 
     def emit(kind, origin, inputs=(), weights=(), offset_pid=None) -> int:
-        nid = len(neurons)
-        neurons.append(Neuron(nid, kind, origin, tuple(inputs), tuple(weights), offset_pid))
-        return nid
+        neurons.append(Neuron(kind, origin, tuple(inputs), tuple(weights), offset_pid))
+        return len(neurons) - 1
 
     facts_by_atom = {}
-    for atom, ref in grounding.ground_facts:
-        nid = emit(FACT, atom)
-        facts_by_atom.setdefault(atom, []).append((nid, ref))
+    for atom, weight in grounding.ground_facts:
+        facts_by_atom.setdefault(atom, []).append((emit(FACT, atom), weight))
 
     for atom in sorted(atoms, key=emission_key):
         agg_inputs, agg_weights, offset = [], [], None
         for clause_id, insts in grouped.get(atom, {}).items():
             rule = rules[clause_id]
             origin = (clause_id, atom)
-            rule_ids = []
-            for inst in insts:
-                body_ids = [outputs[b] for b in inst.body]
-                rule_ids.append(emit(RULE, origin, body_ids, [_UNIT] * len(body_ids), rule.conj))
-            agg_inputs.append(emit(AGG, origin, rule_ids, [_UNIT] * len(rule_ids)))
+            rule_ids = [emit(RULE, origin, [outputs[b] for b in inst.body], (), rule.conj)
+                        for inst in insts]
+            agg_inputs.append(emit(AGG, origin, rule_ids))
             agg_weights.append(rule.weight)
             offset = rule.disj  # one per head signature
-        for fact_id, ref in facts_by_atom.get(atom, ()):
+        for fact_id, weight in facts_by_atom.get(atom, ()):
             agg_inputs.append(fact_id)
-            agg_weights.append(ref)
+            agg_weights.append(weight)
         outputs[atom] = emit(ATOM, atom, agg_inputs, agg_weights, offset)
 
     return GroundNetwork(neurons, outputs, example_id)
@@ -174,17 +169,17 @@ def forward(net: GroundNetwork, params, family: str) -> ValueMap:
     disj, total = ops[DISJUNCTION][0], ops[WEIGHTED_SUM][0]
     pv = params.values
     values = [1.0] * len(net.neurons)  # a fact neuron's output
-    for neuron in net.neurons:
+    for nid, neuron in enumerate(net.neurons):
         kind = neuron.kind
         if kind == RULE:
-            values[neuron.nid] = conj([values[s] for s in neuron.inputs], pv[neuron.offset_pid])
+            values[nid] = conj([values[s] for s in neuron.inputs], pv[neuron.offset_pid])
         elif kind == AGG:
-            values[neuron.nid] = agg([values[s] for s in neuron.inputs])
+            values[nid] = agg([values[s] for s in neuron.inputs])
         elif kind == ATOM:
-            terms = [(pv[w.pid] if type(w) is ParamRef else w.value) * values[s]
+            terms = [(pv[w] if type(w) is str else w) * values[s]
                      for s, w in zip(neuron.inputs, neuron.weights)]
             offset = neuron.offset_pid
-            values[neuron.nid] = total(terms) if offset is None else disj(terms, pv[offset])
+            values[nid] = total(terms) if offset is None else disj(terms, pv[offset])
     return ValueMap(values, family)
 
 
@@ -196,38 +191,40 @@ def backward(net: GroundNetwork, vm: ValueMap, query_grads: dict, params) -> dic
     """
     ops = operations(vm.family)
     slopes = {ATOM: ops[DISJUNCTION][1], RULE: ops[CONJUNCTION][1], AGG: ops[AGGREGATION][1]}
-    sum_slope, pv, values = ops[WEIGHTED_SUM][1], params.values, vm.values
-    adjoint = [0.0] * len(net.neurons)
+    sum_slope, pv, values, neurons = ops[WEIGHTED_SUM][1], params.values, vm.values, net.neurons
+    adjoint = [0.0] * len(neurons)
     for atom, g in query_grads.items():
         nid = net.outputs.get(atom)
         if nid is not None:
             adjoint[nid] += g
     grads = {}
-    for neuron in reversed(net.neurons):
-        nid, kind = neuron.nid, neuron.kind
-        g = adjoint[nid]
+    for nid, neuron in zip(range(len(neurons) - 1, -1, -1), reversed(neurons)):
+        kind, g = neuron.kind, adjoint[nid]
         if g == 0.0 or kind == FACT:
             continue
         inputs, weights, offset = neuron.inputs, neuron.weights, neuron.offset_pid
         slope = sum_slope if kind == ATOM and offset is None else slopes[kind]
         if slope is None:  # a min or max: the adjoint goes to the winner alone
-            terms = ([(pv[w.pid] if type(w) is ParamRef else w.value) * values[s]
+            terms = ([(pv[w] if type(w) is str else w) * values[s]
                       for s, w in zip(inputs, weights)] if kind == ATOM
                      else [values[s] for s in inputs])
             i = winner(terms, values[nid])
-            edges, offset = ((inputs[i], weights[i]),), None
+            inputs, weights, offset = inputs[i:i + 1], weights[i:i + 1], None
         else:
             slope = slope(len(inputs), values[nid])
             if slope == 0.0:
                 continue
             g *= slope
-            edges = zip(inputs, weights)
-        for src, ref in edges:
-            if type(ref) is ParamRef:
-                grads[ref.pid] = grads.get(ref.pid, 0.0) + g * values[src]
-                adjoint[src] += g * pv[ref.pid]
-            else:
-                adjoint[src] += g * ref.value
+        if kind != ATOM:  # unit edges
+            for src in inputs:
+                adjoint[src] += g
+        else:
+            for src, w in zip(inputs, weights):
+                if type(w) is str:
+                    grads[w] = grads.get(w, 0.0) + g * values[src]
+                    adjoint[src] += g * pv[w]
+                else:
+                    adjoint[src] += g * w
         if offset is not None:
             grads[offset] = grads.get(offset, 0.0) + g
     return grads
@@ -236,21 +233,19 @@ def backward(net: GroundNetwork, vm: ValueMap, query_grads: dict, params) -> dic
 def merge(nets) -> tuple:
     """(merged network, per net the merged id of each of its neurons).
 
-    Rule and aggregation edges all have unit weight (`build`), so only
-    an atom's key holds its weight refs.  ConstRef(0.0) equals
-    ConstRef(-0.0), so a merge can flip the sign of a zero value; no
-    activation or cost tells the two apart.
+    Fixed weights are keyed as floats, and 0.0 == -0.0 with equal
+    hashes, so a merge can flip the sign of a zero value; no activation
+    or cost tells the two apart.
     """
     table, neurons, index = {}, [], []
     for net in nets:
         ids = []  # this net's neuron id -> merged id
         for n in net.neurons:
-            kind, inputs, offset = n.kind, tuple([ids[s] for s in n.inputs]), n.offset_pid
-            key = (kind, inputs, n.weights, offset) if kind == ATOM else (kind, inputs, offset)
+            key = (n.kind, tuple([ids[s] for s in n.inputs]), n.weights, n.offset_pid)
             nid = table.get(key)
             if nid is None:
                 nid = table[key] = len(neurons)
-                neurons.append(Neuron(nid, kind, n.origin, inputs, n.weights, offset))
+                neurons.append(Neuron(n.kind, n.origin, key[1], n.weights, n.offset_pid))
             ids.append(nid)
         index.append(ids)
     return GroundNetwork(neurons, {}), index
@@ -276,17 +271,15 @@ def _label(net: GroundNetwork, neuron: Neuron) -> str:
 def export_dot(net: GroundNetwork) -> str:
     """Graphviz text: node shape encodes the neuron kind, node labels
     show what each neuron stands for, edge labels carry parameter ids
-    (shared weights) or non-unit constants."""
+    (shared weights) or non-unit numbers."""
     lines = ["digraph ground_network {"]
-    for neuron in net.neurons:
-        lines.append(f"  n{neuron.nid} [shape={_SHAPES[neuron.kind]}, label={_quote(_label(net, neuron))}];")
-    for neuron in net.neurons:
-        for src, ref in zip(neuron.inputs, neuron.weights):
-            if type(ref) is ParamRef:
-                lines.append(f"  n{src} -> n{neuron.nid} [label={_quote(ref.pid)}];")
-            elif ref.value != 1.0:
-                lines.append(f"  n{src} -> n{neuron.nid} [label={_quote(repr(ref.value))}];")
+    for nid, neuron in enumerate(net.neurons):
+        lines.append(f"  n{nid} [shape={_SHAPES[neuron.kind]}, label={_quote(_label(net, neuron))}];")
+    for nid, neuron in enumerate(net.neurons):
+        for src, w in zip_longest(neuron.inputs, neuron.weights, fillvalue=1.0):
+            if w == 1.0:
+                lines.append(f"  n{src} -> n{nid};")
             else:
-                lines.append(f"  n{src} -> n{neuron.nid};")
+                lines.append(f"  n{src} -> n{nid} [label={_quote(w if type(w) is str else repr(w))}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -4,7 +4,7 @@ forward pass over a network's compact form."""
 
 import re
 
-from lrnn import ParameterStore, ParamRef
+from lrnn import ParameterStore
 from lrnn.fixtures import fixture_text
 from lrnn.logic import parse_examples, parse_queries, parse_template
 from lrnn.network import GroundNetwork, Neuron, ValueMap, forward
@@ -75,10 +75,9 @@ def untied_copy(net, params):
 
     neurons = []
     for n in net.neurons:
-        weights = tuple(ParamRef(fresh(ref.pid)) if isinstance(ref, ParamRef) else ref
-                        for ref in n.weights)
+        weights = tuple(fresh(w) if type(w) is str else w for w in n.weights)
         offset = fresh(n.offset_pid) if n.offset_pid is not None else None
-        neurons.append(Neuron(n.nid, n.kind, n.origin, n.inputs, weights, offset))
+        neurons.append(Neuron(n.kind, n.origin, n.inputs, weights, offset))
     store = ParameterStore(values, frozenset(learnable), kinds)
     copy = GroundNetwork(neurons, dict(net.outputs), net.example_id)
     return copy, store, mapping

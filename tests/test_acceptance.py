@@ -192,10 +192,9 @@ def test_criterion_6_convolution_structure():
                        for inst in grounding.instances if inst.clause_id == "cnn:0")
     assert positions == [("p1", "p2", "p3"), ("p2", "p3", "p4"), ("p3", "p4", "p5")]
 
-    filter_rules = [n for n in net.neurons
-                    if n.kind == RULE and n.offset_pid == "cnn:0:conj"]
-    assert len(filter_rules) == 3
-    rule_ids = {n.nid for n in filter_rules}
+    rule_ids = {i for i, n in enumerate(net.neurons)
+                if n.kind == RULE and n.offset_pid == "cnn:0:conj"}
+    assert len(rule_ids) == 3
     aggs = [n for n in net.neurons if n.kind == AGG and set(n.inputs) & rule_ids]
     assert len(aggs) == 1
     assert set(aggs[0].inputs) == rule_ids

@@ -245,6 +245,19 @@ def test_params_unknown_id_rejected(tmp_path):
     assert rc == 2
 
 
+def test_params_repeated_id_rejected(tmp_path):
+    params = tmp_path / "params.txt"
+    params.write_text("param template.lrnn:0 = 1.0\nparam template.lrnn:0 = 2.0\n", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        parse_params(params.read_text(encoding="utf-8"), _cli_template("family").params)
+    assert exc.value.line == 2
+    rc = main(["predict", "--template", str(FAMILY / "template.lrnn"),
+               "--examples", str(FAMILY / "examples.lrnn"),
+               "--queries", str(FAMILY / "queries.lrnn"), "--params", str(params),
+               "--out", str(tmp_path / "scores.csv")])
+    assert rc == 2
+
+
 def test_params_malformed_line_rejected():
     template = _cli_template("explosives")
     with pytest.raises(ParseError):

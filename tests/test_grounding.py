@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lrnn import (Atom, CapacityError, ConstRef, Constant, ParamRef, RecursiveTemplateError,
+from lrnn import (Atom, CapacityError, Constant, RecursiveTemplateError,
                   Variable, build, check_nonrecursive, ground, grounding,
                   least_herbrand_model, logic, parse_examples, parse_template)
 
@@ -50,12 +50,11 @@ def test_family_instances_exact():
 def test_family_ground_facts():
     t = load_template("family")
     g = ground(t)
-    got = [(type(ref).__name__, getattr(ref, "pid", None), str(atom))
-           for atom, ref in g.ground_facts]
+    got = [(weight, str(atom)) for atom, weight in g.ground_facts]
     assert got == [
-        ("ParamRef", "family:2", "female(alice)"),
-        ("ParamRef", "family:3", "parent(bob,alice)"),
-        ("ParamRef", "family:4", "parent(eve,alice)"),
+        ("family:2", "female(alice)"),
+        ("family:3", "parent(bob,alice)"),
+        ("family:4", "parent(eve,alice)"),
     ]
 
 
@@ -95,7 +94,7 @@ def test_nonground_template_fact_expands_over_universe():
     g = ground(t)
     f_atoms = {str(a) for a in g.model.atoms if a.pred == "f"}
     assert f_atoms == {"f(a,a)", "f(a,b)", "f(b,a)", "f(b,b)"}
-    refs = [(ref.pid, str(atom)) for atom, ref in g.ground_facts if atom.pred == "f"]
+    refs = [(pid, str(atom)) for atom, pid in g.ground_facts if atom.pred == "f"]
     assert [pid for pid, _ in refs] == ["src:0"] * 4  # one shared parameter
 
 
@@ -135,7 +134,7 @@ def test_duplicate_example_fact_atoms_keep_both_weights():
     facts = ((0.3, _atom("p", "a")), (0.4, _atom("p", "a")))
     g = ground(t, facts)
     assert len([a for a in g.model.atoms if a.pred == "p"]) == 1
-    weights = [ref.value for atom, ref in g.ground_facts if atom.pred == "p"]
+    weights = [weight for atom, weight in g.ground_facts if atom.pred == "p"]
     assert weights == [0.3, 0.4]
 
 
@@ -183,9 +182,9 @@ def test_instances_match_naive_enumeration():
             assert inst.body == tuple(apply(theta, b) for b in clause.body), f"seed {seed}"
             assert all(id(a) in model_ids for a in (inst.head, *inst.body)), f"seed {seed}"
         n_template = len(g.ground_facts) - len(facts)
-        assert [(a, r.pid) for a, r in g.ground_facts[:n_template]] == \
+        assert list(g.ground_facts[:n_template]) == \
             naive_template_facts(template, facts), f"seed {seed}"
-        assert g.ground_facts[n_template:] == tuple((a, ConstRef(w)) for w, a in facts)
+        assert g.ground_facts[n_template:] == tuple((a, w) for w, a in facts)
 
 
 @given(st.randoms(use_true_random=False))

@@ -144,6 +144,10 @@ PARSE_ERRORS = [
     (parse_examples, "#example e1\n1.0 :: p(a) :- q(a).",
      "2:1: examples may contain only facts (no ':-' bodies)"),
     (parse_examples, "#example e1\n1.0 :: p(X).", "2:1: example fact p(X) is not ground"),
+    (parse_queries, "#example e1\n? :: q.", "2:1: query targets need a fixed decimal value, not '?'"),
+    (parse_queries, "#example e1\n1.0 :: q :- p(a).",
+     "2:1: queries may contain only atoms (no ':-' bodies)"),
+    (parse_queries, "#example e1\n1.0 :: q(X).", "2:1: query q(X) is not ground"),
     (parse_queries, "#example e1\n1.5 :: p(a).", "2:1: query target 1.5 for p(a) is outside [0, 1]"),
     (parse_queries, "#example e1\n0.5 :: p(a).\n  -0.5 :: q.",
      "3:3: query target -0.5 for q is outside [0, 1]"),

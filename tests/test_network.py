@@ -6,8 +6,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from lrnn import (Atom, CapacityError, ConstRef, Constant, ParamRef, backward, build,
-                  export_dot, forward, ground, parse_examples, parse_template)
+from lrnn import (Atom, CapacityError, Constant, backward, build, export_dot, forward, ground,
+                  parse_examples, parse_template)
 from lrnn.fixtures import fixture_names
 from lrnn.network import AGG, ATOM, FACT, RULE
 
@@ -45,7 +45,7 @@ def test_family_mother_atom_wiring():
     atom_neuron = net.neurons[net.outputs[_atom("mother", "bob", "alice")]]
     assert atom_neuron.kind == ATOM
     assert len(atom_neuron.inputs) == 1
-    assert atom_neuron.weights == (ParamRef("family:0"),)
+    assert atom_neuron.weights == ("family:0",)
     assert atom_neuron.offset_pid == "family:0:disj"
     agg = net.neurons[atom_neuron.inputs[0]]
     assert agg.kind == AGG
@@ -60,7 +60,7 @@ def test_family_fact_only_atom_has_no_offset():
     _, net = _net("family")
     neuron = net.neurons[net.outputs[_atom("female", "alice")]]
     assert neuron.offset_pid is None
-    assert neuron.weights == (ParamRef("family:2"),)
+    assert neuron.weights == ("family:2",)
     assert net.neurons[neuron.inputs[0]].kind == FACT
 
 
@@ -71,40 +71,51 @@ def test_horses_network_counts():
 
 def test_water_filter_neurons():
     t, net = _net("explosives", "m2")
-    rules = [n for n in net.neurons
-             if n.kind == RULE and n.offset_pid == "explosives:6:conj"]
-    aggs = [n for n in net.neurons if n.kind == AGG
-            and net.neurons[n.inputs[0]] in rules]
+    rules = {i for i, n in enumerate(net.neurons)
+             if n.kind == RULE and n.offset_pid == "explosives:6:conj"}
+    aggs = [i for i, n in enumerate(net.neurons) if n.kind == AGG and n.inputs[0] in rules]
     assert len(rules) == 4
     assert len(aggs) == 1
-    assert set(aggs[0].inputs) == {r.nid for r in rules}
+    assert set(net.neurons[aggs[0]].inputs) == rules
     explosive = net.neurons[net.outputs[Atom("explosive", ())]]
-    assert explosive.inputs == (aggs[0].nid,)
-    assert explosive.weights == (ParamRef("explosives:6"),)
+    assert explosive.inputs == (aggs[0],)
+    assert explosive.weights == ("explosives:6",)
 
 
 def test_cnn_filter_has_three_positions_one_pool():
     t, net = _net("cnn")
-    rules = [n for n in net.neurons
-             if n.kind == RULE and n.offset_pid == "cnn:0:conj"]
+    rules = {i for i, n in enumerate(net.neurons)
+             if n.kind == RULE and n.offset_pid == "cnn:0:conj"}
     aggs = [n for n in net.neurons if n.kind == AGG
-            and set(n.inputs) <= {r.nid for r in rules} and n.inputs]
+            and set(n.inputs) <= rules and n.inputs]
     assert len(rules) == 3
     assert len(aggs) == 1
     assert len(aggs[0].inputs) == 3
 
 
+def _check_format(net, params):
+    """The format's invariants on a network and on its compact form:
+    inputs precede their consumer, only atom edges store weights, and
+    each is a parameter id in the store or a float."""
+    for network in (net, net.compact()[0]):
+        for nid, neuron in enumerate(network.neurons):
+            assert all(src < nid for src in neuron.inputs)
+            if neuron.kind == ATOM:
+                assert len(neuron.weights) == len(neuron.inputs)
+                assert all(w in params if type(w) is str else type(w) is float
+                           for w in neuron.weights)
+            else:
+                assert neuron.weights == ()
+
+
 def test_inputs_precede_consumers():
     names = ("family", "horses", "explosives", "cnn", "pressure", "bright_edges")
     for name in names:
-        _, net = _net(name)
-        for neuron in net.neurons:
-            assert all(src < neuron.nid for src in neuron.inputs)
+        t, net = _net(name)
+        _check_format(net, t.params)
     for seed in range(10):
         template, facts = random_nonrecursive_program(random.Random(seed))
-        net = build(ground(template, facts), template)
-        for neuron in net.neurons:
-            assert all(src < neuron.nid for src in neuron.inputs)
+        _check_format(build(ground(template, facts), template), template.params)
 
 
 def test_counts_derivable_from_grounding():
@@ -319,9 +330,8 @@ def _check_compact(net, params, rng):
     # Every neuron's merged twin computes the same thing from the twins
     # of its inputs, so every path of the merged network maps back to one
     # of the original.
-    for n in net.neurons:
-        twin = small.neurons[index[n.nid]]
-        assert twin.nid == index[n.nid]
+    for n, i in zip(net.neurons, index):
+        twin = small.neurons[i]
         assert (twin.kind, twin.offset_pid, twin.weights) == (n.kind, n.offset_pid, n.weights)
         assert twin.inputs == tuple(index[s] for s in n.inputs)
     seeds = {atom: rng.uniform(-1.0, 1.0) for atom in net.outputs}

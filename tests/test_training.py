@@ -604,7 +604,7 @@ def test_renamed_constants_add_no_shared_neuron():
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_signed_zero_fact_weights_cost_the_same(family):
-    # ConstRef(0.0) == ConstRef(-0.0): the two examples' fact edges merge.
+    # 0.0 == -0.0 with equal hashes: the two examples' fact edges merge.
     template = parse_template("0.5 :: p(X) :- e(X).\n-0.5 :: q :- p(X), e(X).", "t")
     examples = parse_examples("#example pos\n0.0 :: e(a).\n#example neg\n-0.0 :: e(a).\n")
     a = Atom("e", (Constant("a"),))
