@@ -29,8 +29,8 @@ from .errors import CapacityError, LrnnError, ParseError, RecursiveTemplateError
 from .grounding import DEFAULT_CAPACITY
 from .logic import parse_examples, parse_params, parse_queries, parse_template, render_params
 from .network import export_dot
-from .training import (COST_KINDS, CompiledTask, TrainConfig, TrainingTask, crossvalidate,
-                       ground_networks, train, zero_one_error)
+from .training import (COST_KINDS, SQUARED_SIGMOID, CompiledTask, TrainConfig, TrainingTask,
+                       crossvalidate, ground_networks, train, zero_one_error)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--init-range", type=float, nargs=2, default=(-1.0, 1.0),
                    metavar=("LO", "HI"))
-    p.add_argument("--cost", choices=COST_KINDS, default="squared_sigmoid")
+    p.add_argument("--cost", choices=COST_KINDS, default=SQUARED_SIGMOID)
     p.add_argument("--freeze-offsets", action="store_true",
                    help="keep conjunction/disjunction offsets at their initial values")
     p.add_argument("--out-params", required=True, help="parameter file to write")
@@ -231,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated restart counts (default 3)")
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cost", choices=COST_KINDS, default="squared_sigmoid")
+    p.add_argument("--cost", choices=COST_KINDS, default=SQUARED_SIGMOID)
     p.add_argument("--out", required=True, help="per-fold error CSV to write")
     p.set_defaults(fn=cmd_xval)
 

@@ -218,7 +218,7 @@ def ground(template: Template, example_facts=(), capacity: int = DEFAULT_CAPACIT
                           for pred, pattern in rule.body_pats])
             instances.append(GroundRuleInstance(rule.clause_id, theta, head, body))
 
-    ground_facts = [(table[c.head.pred, row], c.weight_ref)
+    ground_facts = [(table[c.head.pred, row], c.clause_id)
                     for c, rows in fact_rows for row in rows]
     ground_facts.extend((atom, weight) for weight, atom in example_facts)
     return Grounding(model, tuple(instances), tuple(ground_facts))

@@ -28,15 +28,15 @@ ordinals, so parameter ids survive re-parsing the same file.  A weight
 written "?" marks the clause parameter as learnable.  Parameter files
 hold one `param <id> = <decimal>` line per parameter.
 
-What depends on the template alone is compiled once per `Template`:
-its stratum order (`_strata`), and its rule plan (`_plan`) of join plans,
-parameter ids and constants, read by grounding and `network.build`.
+What depends on the template alone is compiled once per `Template`,
+into its rule plan (`_plan`): join plans, parameter ids, constants and
+the stratum rank of each predicate, read by grounding and `network.build`.
 """
 
 import heapq
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from functools import cached_property
 from graphlib import CycleError, TopologicalSorter
 
@@ -46,10 +46,6 @@ from .errors import ParseError, RecursiveTemplateError
 # Initial values: learnable clause weights are placeholders until a
 # trainer draws real initials; offsets start at the activations' defaults.
 LEARNABLE_WEIGHT_INIT = 0.0
-
-KIND_WEIGHT = "weight"
-KIND_CONJ = "conj"
-KIND_DISJ = "disj"
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,11 +108,6 @@ class WeightedClause:
     def learnable(self) -> bool:
         return self.weight is None
 
-    @property
-    def weight_ref(self) -> str:
-        # The clause weight parameter is identified by the clause itself.
-        return self.clause_id
-
     def head_only_variables(self) -> list:
         body_vars = set()
         for atom in self.body:
@@ -130,15 +121,16 @@ class WeightedClause:
 class ParameterStore:
     """Named real parameters shared across all ground networks.
 
-    `learnable` marks parameters the template text left open ("?"
-    weights) plus all offsets; whether offsets actually receive updates
-    is the trainer's call (sigmoid families only).
+    A clause weight's id is its clause id.  `learnable` marks the clause
+    weights the template text left open ("?") plus all offsets, so the
+    offsets are the learnable ids that are not clause weights; whether
+    they actually receive updates is the trainer's call (sigmoid families
+    only).
     """
 
-    def __init__(self, values: dict, learnable: set, kinds: dict):
+    def __init__(self, values: dict, learnable: set):
         self.values = dict(values)
         self.learnable = frozenset(learnable)
-        self.kinds = dict(kinds)
 
     def __getitem__(self, pid: str) -> float:
         return self.values[pid]
@@ -160,11 +152,10 @@ class ParameterStore:
     def __eq__(self, other):
         if not isinstance(other, ParameterStore):
             return NotImplemented
-        return (self.values == other.values and self.learnable == other.learnable
-                and self.kinds == other.kinds)
+        return self.values == other.values and self.learnable == other.learnable
 
     def copy(self) -> "ParameterStore":
-        return ParameterStore(self.values, self.learnable, self.kinds)
+        return ParameterStore(self.values, self.learnable)
 
 
 def render_params(params: ParameterStore) -> str:
@@ -204,7 +195,7 @@ class Template:
 
     clauses: tuple
     params: ParameterStore
-    source: str = "template"
+    _: KW_ONLY
     family: str = MAX_SIGMOID
 
     def signatures(self) -> list:
@@ -215,23 +206,19 @@ class Template:
         return list(seen)
 
     @cached_property
-    def _strata(self) -> dict:
-        """Signature -> its index in `check_nonrecursive` order, heads first.
-
-        Computed once per template; RecursiveTemplateError propagates
-        and nothing is cached, so every later read raises again.
-        """
-        return {sig: i for i, sig in enumerate(check_nonrecursive(self))}
-
-    @cached_property
     def _plan(self) -> "_Plan":
-        """The rule clauses compiled once; raises as `_strata` does."""
-        rank = self._strata
+        """The rule clauses compiled once, each with its offset ids (the
+        learnable ids that are not clause weights), and the stratum rank
+        of each signature.  RecursiveTemplateError propagates and nothing
+        is cached, so every later read raises again."""
+        order = check_nonrecursive(self)
+        rank = {sig: len(order) - i for i, sig in enumerate(order)}  # bodies below heads
         offsets = _offset_pids(self.clauses)
         rules = {c.clause_id: _Rule(c, *offsets[c.clause_id]) for c in self.clauses if not c.is_fact}
         constants = frozenset(t.name for c in self.clauses for atom in (c.head, *c.body)
                               for t in atom.args if isinstance(t, Constant))
-        return _Plan(rules, tuple(sorted(rules.values(), key=lambda r: -rank[r.head_sig])), constants)
+        return _Plan(rules, tuple(sorted(rules.values(), key=lambda r: rank[r.head_sig])),
+                     constants, rank)
 
 
 def _offset_pids(clauses) -> dict:
@@ -241,8 +228,8 @@ def _offset_pids(clauses) -> dict:
     pids, disj = {}, {}
     for c in clauses:
         if not c.is_fact:
-            pids[c.clause_id] = (f"{c.clause_id}:{KIND_CONJ}",
-                                 disj.setdefault(c.head.signature, f"{c.clause_id}:{KIND_DISJ}"))
+            pids[c.clause_id] = (f"{c.clause_id}:conj",
+                                 disj.setdefault(c.head.signature, f"{c.clause_id}:disj"))
     return pids
 
 
@@ -253,7 +240,7 @@ def _compile_pattern(atom: Atom) -> tuple:
 
 class _Rule:
     __slots__ = ("clause_id", "head_sig", "head_pat", "body_pats", "body", "head_only",
-                 "weight", "conj", "disj")
+                 "conj", "disj")
 
     def __init__(self, clause, conj: str, disj: str):
         self.clause_id = clause.clause_id
@@ -271,7 +258,7 @@ class _Rule:
             self.body.append((b.signature, key_pos, tuple(pattern[i] for i in key_pos), free))
             bound.update(name for _, name in free)
         self.head_only = sorted(v.name for v in clause.head_only_variables())
-        self.weight, self.conj, self.disj = clause.weight_ref, conj, disj
+        self.conj, self.disj = conj, disj
 
 
 @dataclass(frozen=True, slots=True)
@@ -279,22 +266,18 @@ class _Plan:
     rules: dict  # clause_id -> _Rule, in template order
     schedule: tuple  # the same rules, bodies before heads
     constants: frozenset  # names of the constants the clauses mention
+    rank: dict  # signature -> stratum rank >= 1, bodies below heads
 
 
-def make_template(clauses, source: str = "template", family: str = MAX_SIGMOID) -> Template:
-    values, learnable, kinds = {}, set(), {}
-    for c in clauses:
-        values[c.weight_ref] = LEARNABLE_WEIGHT_INIT if c.weight is None else c.weight
-        kinds[c.weight_ref] = KIND_WEIGHT
-        if c.weight is None:
-            learnable.add(c.weight_ref)
+def make_template(clauses, *, family: str = MAX_SIGMOID) -> Template:
+    """The clauses with their store: a weight per clause id, then offsets."""
+    values = {c.clause_id: LEARNABLE_WEIGHT_INIT if c.learnable else c.weight for c in clauses}
+    learnable = {c.clause_id for c in clauses if c.learnable}
     for conj, disj in _offset_pids(clauses).values():
-        values[conj], kinds[conj] = CONJ_OFFSET_INIT, KIND_CONJ
-        learnable.add(conj)
-        if disj not in values:  # added at the head's first rule clause
-            values[disj], kinds[disj] = DISJ_OFFSET_INIT, KIND_DISJ
-            learnable.add(disj)
-    return Template(tuple(clauses), ParameterStore(values, learnable, kinds), source, family)
+        values[conj] = CONJ_OFFSET_INIT
+        values.setdefault(disj, DISJ_OFFSET_INIT)  # added at the head's first rule clause
+        learnable.update((conj, disj))
+    return Template(tuple(clauses), ParameterStore(values, learnable), family=family)
 
 
 @dataclass(frozen=True, slots=True)
@@ -472,7 +455,7 @@ def parse_template(text: str, source: str = "template", family: str = MAX_SIGMOI
     while p.tok[0] != "eof":
         weight, head, body = p.clause_statement()
         clauses.append(WeightedClause(head, body, weight, f"{source}:{len(clauses)}"))
-    return make_template(clauses, source, family)
+    return make_template(clauses, family=family)
 
 
 def parse_examples(text: str, source: str = "examples") -> list:
@@ -489,7 +472,7 @@ def parse_queries(text: str, source: str = "queries") -> list:
 def _parse_sections(text: str, source: str, targets: bool) -> list:
     p = _Parser(text, source, allow_headers=True)
     examples, ids = [], set()
-    current, facts = None, []
+    current, facts, queried = None, [], set()
     # A '?' weight, a body and a variable are worded for the file's kind.
     no_weight, no_body, noun = (
         ("query targets need a fixed decimal value", "queries may contain only atoms", "query")
@@ -507,7 +490,7 @@ def _parse_sections(text: str, source: str, targets: bool) -> list:
                 p.error(f"duplicate example id {value!r}", i)
             ids.add(value)
             close()
-            current, facts = value, []
+            current, facts, queried = value, [], set()
             p._shift()
             continue
         if current is None:
@@ -519,8 +502,12 @@ def _parse_sections(text: str, source: str, targets: bool) -> list:
             p.error(f"{no_body} (no ':-' bodies)", i)
         if not head.is_ground():
             p.error(f"{noun} {head} is not ground", i)
-        if targets and not 0.0 <= weight <= 1.0:
-            p.error(f"query target {weight!r} for {head} is outside [0, 1]", i)
+        if targets:
+            if not 0.0 <= weight <= 1.0:
+                p.error(f"query target {weight!r} for {head} is outside [0, 1]", i)
+            if head in queried:
+                p.error(f"query {head} is given twice in example {current!r}", i)
+            queried.add(head)
         facts.append((weight, head))
     close()
     return examples

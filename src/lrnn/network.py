@@ -100,13 +100,12 @@ def build(grounding: Grounding, template: Template, example_id: str | None = Non
           capacity: int = DEFAULT_CAPACITY) -> GroundNetwork:
     """The example's network; CapacityError when it would hold more than
     `capacity` neurons."""
-    position, rules = template._strata, template._plan.rules
+    rank, rules = template._plan.rank, template._plan.rules
 
     def emission_key(atom: Atom) -> tuple:
-        # Example-only predicates are pure leaves and go first; template
-        # predicates go body-before-head (reverse of the head-first order).
-        rank = len(position) - position[atom.signature] if atom.signature in position else 0
-        return (rank, ground_atom_key(atom))
+        # Example-only predicates (rank 0) are pure leaves and go first;
+        # template predicates go by stratum rank, bodies before heads.
+        return (rank.get(atom.signature, 0), ground_atom_key(atom))
 
     # Every body atom is a fact or the head of an active instance.
     atoms = {inst.head for inst in grounding.instances}
@@ -140,7 +139,7 @@ def build(grounding: Grounding, template: Template, example_id: str | None = Non
             rule_ids = [emit(RULE, origin, [outputs[b] for b in inst.body], (), rule.conj)
                         for inst in insts]
             agg_inputs.append(emit(AGG, origin, rule_ids))
-            agg_weights.append(rule.weight)
+            agg_weights.append(clause_id)
             offset = rule.disj  # one per head signature
         for fact_id, weight in facts_by_atom.get(atom, ()):
             agg_inputs.append(fact_id)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from .activations import CONJUNCTION, operations, sigmoid
 from .errors import AllRestartsFailedError, DivergenceError
 from .grounding import DEFAULT_CAPACITY, ground
-from .logic import KIND_WEIGHT, ParameterStore, QueryRow, Template
+from .logic import ParameterStore, QueryRow, Template
 from .network import backward, build, forward, merge
 
 SQUARED_SIGMOID = "squared_sigmoid"
@@ -159,19 +159,21 @@ class CompiledTask:
         self._priced = False
         self._shared = None  # (shared network, [(target, shared id or None)] per query)
 
+    def _weights(self) -> list:
+        """The learnable clause weights, in drawing order."""
+        return sorted(c.clause_id for c in self.task.template.clauses if c.learnable)
+
     def learnable(self) -> frozenset:
-        params = self.task.template.params
-        pids = {pid for pid in params.learnable if params.kinds[pid] == KIND_WEIGHT}
         slope = operations(self.task.family)[CONJUNCTION][1]
         if self.task.config.train_offsets and slope is not None:  # a min ignores its offset
-            pids.update(pid for pid in params.learnable if params.kinds[pid] != KIND_WEIGHT)
-        return frozenset(pids)
+            return self.task.template.params.learnable
+        return frozenset(self._weights())
 
     def initial_params(self, restart_seed: int) -> ParameterStore:
         params = self.task.template.params.copy()
         rng = random.Random(restart_seed)
         lo, hi = self.task.config.init_range
-        for pid in sorted(p for p in params.learnable if params.kinds[p] == KIND_WEIGHT):
+        for pid in self._weights():
             params[pid] = rng.uniform(lo, hi)
         return params
 
@@ -260,8 +262,11 @@ def sgd_epoch(compiled: CompiledTask, params, learnable, rng, epoch: int = 0) ->
 
 
 def train(task: TrainingTask, compiled: CompiledTask | None = None) -> tuple:
-    """Run all restarts; return (best ParameterStore, TrainReport)."""
+    """Run all restarts; return (best ParameterStore, TrainReport).
+    ValueError when `compiled` was built from another task."""
     compiled = compiled or CompiledTask(task)
+    if compiled.task is not task:
+        raise ValueError("train: `compiled` was built from another task")
     learnable = compiled.learnable()
     cfg = task.config
     report = TrainReport()

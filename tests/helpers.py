@@ -61,7 +61,6 @@ def untied_copy(net, params):
     summing untied gradients per original id must equal the tied gradient.
     """
     values = {pid: params[pid] for pid in params}
-    kinds = dict(params.kinds)
     learnable = set(params.learnable)
     mapping = {}
 
@@ -69,7 +68,6 @@ def untied_copy(net, params):
         new_pid = f"untied{len(mapping)}"
         mapping[new_pid] = old_pid
         values[new_pid] = params[old_pid]
-        kinds[new_pid] = params.kinds[old_pid]
         learnable.add(new_pid)
         return new_pid
 
@@ -78,7 +76,7 @@ def untied_copy(net, params):
         weights = tuple(fresh(w) if type(w) is str else w for w in n.weights)
         offset = fresh(n.offset_pid) if n.offset_pid is not None else None
         neurons.append(Neuron(n.kind, n.origin, n.inputs, weights, offset))
-    store = ParameterStore(values, frozenset(learnable), kinds)
+    store = ParameterStore(values, frozenset(learnable))
     copy = GroundNetwork(neurons, dict(net.outputs), net.example_id)
     return copy, store, mapping
 

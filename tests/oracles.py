@@ -98,7 +98,7 @@ def naive_template_facts(template, example_facts):
     for c in template.clauses:
         if c.is_fact:
             cvars = sorted(clause_variables((c.head,)), key=lambda v: v.name)
-            out.extend((apply(theta, c.head), c.weight_ref)
+            out.extend((apply(theta, c.head), c.clause_id)
                        for theta in substitutions(cvars, universe))
     return out
 
@@ -117,7 +117,7 @@ def fuzzy_min_max_values(template, example_facts):
     for c in template.clauses:
         if not c.is_fact:
             continue
-        w = template.params[c.weight_ref]
+        w = template.params[c.clause_id]
         for theta in substitutions(clause_variables((c.head,)), universe):
             fact_weight[apply(theta, c.head)] = w
     rules = [c for c in template.clauses if not c.is_fact]
@@ -126,7 +126,7 @@ def fuzzy_min_max_values(template, example_facts):
     while changed:
         changed = False
         for c in rules:
-            w = template.params[c.weight_ref]
+            w = template.params[c.clause_id]
             cvars = clause_variables((c.head, *c.body))
             for theta in substitutions(cvars, universe):
                 body = [apply(theta, b) for b in c.body]
@@ -265,7 +265,7 @@ def random_nonrecursive_program(rng, max_preds=5, max_consts=5, max_rules=6,
         weight = round(rng.random(), 6) if weighted_facts else 1.0
         facts.append((weight, atom))
     family = "godel" if weighted_facts else "ms"
-    return make_template(clauses, source="gen", family=family), tuple(facts)
+    return make_template(clauses, family=family), tuple(facts)
 
 
 def central_difference(f, x0, h=1e-6):

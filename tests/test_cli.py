@@ -322,6 +322,26 @@ def test_predict_unknown_example_exits_2(tmp_path, capsys):
     assert "'ghost'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("train", ["--out-params", "params.txt"]),
+    ("predict", []),
+    ("xval", ["--folds", "2", "--out", "xval.csv"]),
+])
+def test_repeated_query_exits_2(tmp_path, capsys, command, extra):
+    files = {"template": "? :: q(X) :- e(X).\n",
+             "examples": "#example a\n1.0 :: e(x).\n#example b\n1.0 :: e(y).\n",
+             "queries": "#example a\n1.0 :: q(x).\n0.0 :: q(x).\n"}
+    args = []
+    for name, text in files.items():
+        (tmp_path / f"{name}.lrnn").write_text(text, encoding="utf-8")
+        args += [f"--{name}", str(tmp_path / f"{name}.lrnn")]
+    extra = [str(tmp_path / arg) if arg.endswith((".txt", ".csv")) else arg for arg in extra]
+    rc = main([command, *args, *extra])
+    assert rc == 2
+    assert "queries.lrnn:3:1: query q(x) is given twice in example 'a'" in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.txt")) and not any(tmp_path.glob("*.csv"))
+
+
 def test_predict_non_finite_score_exits_2(tmp_path, capsys):
     # Finite weights overflow: q(a) = inf under godel, and s(a) = 0.0 * inf = nan.
     files = {"template": "1e300 :: q(X) :- p(X).\n? :: r(X) :- q(X).\n0.0 :: s(X) :- r(X).\n",

@@ -151,6 +151,8 @@ PARSE_ERRORS = [
     (parse_queries, "#example e1\n1.5 :: p(a).", "2:1: query target 1.5 for p(a) is outside [0, 1]"),
     (parse_queries, "#example e1\n0.5 :: p(a).\n  -0.5 :: q.",
      "3:3: query target -0.5 for q is outside [0, 1]"),
+    (parse_queries, "#example a\n1.0 :: q(x).\n0.0 :: q(x).",
+     "3:1: query q(x) is given twice in example 'a'"),
     # blanks are space and tab only, in a header as everywhere
     (parse_examples, "#example\x0ce1\x85\n", "1:1: malformed header, expected '#example <id>'"),
     (parse_examples, "#example e1\u3000\n", "1:1: malformed header, expected '#example <id>'"),
@@ -304,7 +306,7 @@ def _templates(draw):
         head = draw(_atom)
         body = tuple(draw(st.lists(_atom, max_size=3)))
         clauses.append(WeightedClause(head, body, draw(_weight), f"gen:{i}"))
-    return make_template(clauses, source="gen")
+    return make_template(clauses)
 
 
 @given(_templates())
@@ -368,7 +370,9 @@ def test_make_template_parameter_layout():
     # one disjunction offset per head predicate, keyed to the first rule clause
     assert params["src:0:disj"] == 0.0
     assert "src:1:disj" not in params
-    assert [pid for pid, kind in params.kinds.items() if kind == "disj"] == ["src:0:disj"]
+    assert [pid for pid in params if pid.endswith(":disj")] == ["src:0:disj"]
+    # the parameter-file order: clause weights, then each rule's offsets
+    assert list(params) == ["src:0", "src:1", "src:2", "src:0:conj", "src:0:disj", "src:1:conj"]
     # both rule clauses for p share it; q heads only a fact, so it takes none
     assert [rule.disj for rule in t._plan.rules.values()] == ["src:0:disj", "src:0:disj"]
 

@@ -187,7 +187,7 @@ def test_horses_min_max_matches_oracle_with_set_weights():
                "horses:4": 0.55, "horses:5": 0.3, "horses:6": 0.7, "horses:7": 1.0}
     for pid, w in weights.items():
         params[pid] = w
-    shadow = Template(t.clauses, params, t.source, t.family)
+    shadow = Template(t.clauses, params, family=t.family)
     net = build(ground(t), t)
     vm = forward(net, params, "godel")
     oracle = fuzzy_min_max_values(shadow, ())

@@ -248,6 +248,15 @@ def test_training_descends_on_tiny_task():
     assert compiled.total_cost(params) < initial
 
 
+def test_train_refuses_a_compiled_task_of_another_task():
+    task = _tiny_task(epochs=2)
+    other = _tiny_task(epochs=2, learning_rate=5.0)
+    with pytest.raises(ValueError, match="another task"):
+        train(task, CompiledTask(other))
+    params, _ = train(task, CompiledTask(task))
+    assert params == train(task)[0]
+
+
 def test_train_is_deterministic():
     task1 = _tiny_task(epochs=5, restarts=2, seed=11)
     task2 = _tiny_task(epochs=5, restarts=2, seed=11)
