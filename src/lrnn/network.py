@@ -30,7 +30,10 @@ Three passes read the format:
               over the neurons that reads parameters straight from the
               store's values and keeps one value per neuron: an atom
               neuron's inputs are the terms weight * source value
-    backward  the reverse sweep: it keeps nothing from `forward` but the
+    backward  the reverse sweep over the cone order: the neurons with a
+              parameter in their input cone (no other adds to a
+              gradient), last first, built on the first call and kept
+              with the network.  It keeps nothing from `forward` but the
               values, takes each neuron's local slope from its value,
               recomputes the inputs only to find the winner of a min or
               max (which alone receives the adjoint), and sums a shared
@@ -50,7 +53,7 @@ network with them.
 """
 
 from dataclasses import dataclass, field
-from itertools import zip_longest
+from itertools import compress, zip_longest
 
 from .activations import (AGGREGATION, CONJUNCTION, DISJUNCTION, WEIGHTED_SUM, operations,
                           winner)
@@ -75,7 +78,9 @@ class GroundNetwork:
     neurons: list
     outputs: dict  # ground Atom -> atom neuron id
     example_id: str | None = None
+    # Built on first use and kept: both assume `neurons` no longer changes.
     _compact: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _reverse: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def counts(self) -> tuple:
         """(atom, fact, rule, agg) neuron counts."""
@@ -182,6 +187,16 @@ def forward(net: GroundNetwork, params, family: str) -> ValueMap:
     return ValueMap(values, family)
 
 
+def _reverse_order(net: GroundNetwork) -> list:
+    """Ids of the neurons with a parameter in their input cone (an offset,
+    a parameter weight, or such an input), last first; facts have none."""
+    live = []
+    for n in net.neurons:
+        live.append(n.offset_pid is not None or str in map(type, n.weights)
+                    or any(map(live.__getitem__, n.inputs)))
+    return list(compress(range(len(live) - 1, -1, -1), reversed(live)))
+
+
 def backward(net: GroundNetwork, vm: ValueMap, query_grads: dict, params) -> dict:
     """Reverse sweep; returns parameter id -> accumulated gradient.
 
@@ -196,10 +211,13 @@ def backward(net: GroundNetwork, vm: ValueMap, query_grads: dict, params) -> dic
         nid = net.outputs.get(atom)
         if nid is not None:
             adjoint[nid] += g
+    if net._reverse is None:
+        net._reverse = _reverse_order(net)
     grads = {}
-    for nid, neuron in zip(range(len(neurons) - 1, -1, -1), reversed(neurons)):
+    for nid in net._reverse:
+        neuron = neurons[nid]
         kind, g = neuron.kind, adjoint[nid]
-        if g == 0.0 or kind == FACT:
+        if g == 0.0:
             continue
         inputs, weights, offset = neuron.inputs, neuron.weights, neuron.offset_pid
         slope = sum_slope if kind == ATOM and offset is None else slopes[kind]

@@ -2,10 +2,11 @@
 passes of `network`.
 
 Updates are online: after each example's queries are backpropagated,
-weights move at once by w <- w - lr * grad; with nothing learnable the
-online step is skipped and only the epoch cost is priced.  The online
-step's `forward` runs over the example's compact form and `backward`
-over the example's own network.  Restarts redraw the learnable weights
+weights move at once by w <- w - lr * grad, written straight into the
+store's values; with nothing learnable the online step is skipped and
+only the epoch cost is priced.  The online step's `forward` runs over
+the example's compact form and `backward` over the example's own
+network, in its cone order.  Restarts redraw the learnable weights
 from Uniform(init_range) with seeds derived from the master seed, and
 the restart with the lowest final training cost wins; a restart whose
 parameters, final cost or final scores go non-finite is skipped and
@@ -233,7 +234,7 @@ def sgd_epoch(compiled: CompiledTask, params, learnable, rng, epoch: int = 0) ->
     cfg = task.config
     order = list(range(len(compiled.nets)))
     rng.shuffle(order)
-    lr = cfg.learning_rate
+    lr, pv = cfg.learning_rate, params.values
     for idx in order:
         queries = compiled.queries[idx]
         if not queries:
@@ -251,13 +252,13 @@ def sgd_epoch(compiled: CompiledTask, params, learnable, rng, epoch: int = 0) ->
             query_grads[q.atom] = query_grads.get(q.atom, 0.0) + dy
         if not query_grads:
             continue
-        grads = backward(net, vm, query_grads, params)
-        for pid, g in grads.items():
+        # Every gradient key is an id `forward` read from the store.
+        for pid, g in backward(net, vm, query_grads, params).items():
             if pid in learnable:
-                value = params[pid] - lr * g
+                value = pv[pid] - lr * g
                 if not math.isfinite(value):
                     raise DivergenceError(pid, epoch)
-                params[pid] = value
+                pv[pid] = value
     return compiled.total_cost(params)
 
 

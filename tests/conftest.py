@@ -4,6 +4,7 @@ settings.register_profile(
     "suite",
     deadline=None,
     max_examples=40,
+    print_blob=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")

@@ -325,3 +325,56 @@ def random_gradcheck_instance(rng, family):
         if smallest_max_gap(net, vm) >= 1e-3:
             return template, facts, list(zip(queries, targets)), params
     return None
+
+
+def full_backward(net, vm, query_grads, params) -> dict:
+    """`lrnn.backward` as a sweep over every neuron, last first: the
+    simple version the cone-order sweep must equal bit for bit, in key
+    order.  Returns parameter id -> accumulated gradient.
+
+    query_grads maps ground atoms to d cost / d score seeds; atoms absent
+    from the network contribute nothing (their score is a constant 0).
+    """
+    from lrnn.activations import (AGGREGATION, CONJUNCTION, DISJUNCTION, WEIGHTED_SUM,
+                                  operations, winner)
+    from lrnn.network import AGG, ATOM, FACT, RULE
+
+    ops = operations(vm.family)
+    slopes = {ATOM: ops[DISJUNCTION][1], RULE: ops[CONJUNCTION][1], AGG: ops[AGGREGATION][1]}
+    sum_slope, pv, values, neurons = ops[WEIGHTED_SUM][1], params.values, vm.values, net.neurons
+    adjoint = [0.0] * len(neurons)
+    for atom, g in query_grads.items():
+        nid = net.outputs.get(atom)
+        if nid is not None:
+            adjoint[nid] += g
+    grads = {}
+    for nid, neuron in zip(range(len(neurons) - 1, -1, -1), reversed(neurons)):
+        kind, g = neuron.kind, adjoint[nid]
+        if g == 0.0 or kind == FACT:
+            continue
+        inputs, weights, offset = neuron.inputs, neuron.weights, neuron.offset_pid
+        slope = sum_slope if kind == ATOM and offset is None else slopes[kind]
+        if slope is None:  # a min or max: the adjoint goes to the winner alone
+            terms = ([(pv[w] if type(w) is str else w) * values[s]
+                      for s, w in zip(inputs, weights)] if kind == ATOM
+                     else [values[s] for s in inputs])
+            i = winner(terms, values[nid])
+            inputs, weights, offset = inputs[i:i + 1], weights[i:i + 1], None
+        else:
+            slope = slope(len(inputs), values[nid])
+            if slope == 0.0:
+                continue
+            g *= slope
+        if kind != ATOM:  # unit edges
+            for src in inputs:
+                adjoint[src] += g
+        else:
+            for src, w in zip(inputs, weights):
+                if type(w) is str:
+                    grads[w] = grads.get(w, 0.0) + g * values[src]
+                    adjoint[src] += g * pv[w]
+                else:
+                    adjoint[src] += g * w
+        if offset is not None:
+            grads[offset] = grads.get(offset, 0.0) + g
+    return grads

@@ -1,4 +1,4 @@
-"""Ground-network construction, forward evaluation, DOT export."""
+"""Ground-network construction, forward evaluation, the reverse sweep, DOT export."""
 
 import math
 import random
@@ -9,11 +9,13 @@ from hypothesis import given, strategies as st
 from lrnn import (Atom, CapacityError, Constant, backward, build, export_dot, forward, ground,
                   parse_examples, parse_template)
 from lrnn.fixtures import fixture_names
-from lrnn.network import AGG, ATOM, FACT, RULE
+from lrnn.network import AGG, ATOM, FACT, RULE, _reverse_order
 
 from helpers import (check_dot, compact_forward, grad_bits, load_examples, load_queries,
                      load_template)
-from oracles import family_values, fuzzy_min_max_values, random_nonrecursive_program
+from molecules import make_bond_dataset
+from oracles import (family_values, full_backward, fuzzy_min_max_values, random_gradcheck_instance,
+                     random_nonrecursive_program)
 
 
 def _atom(pred, *names):
@@ -373,6 +375,154 @@ def test_compact_form_merges_equal_neurons_of_one_network():
     out = net.outputs
     assert index[out[_atom("p", "a")]] == index[out[_atom("p", "b")]]
     assert index[out[_atom("e", "a")]] != index[out[_atom("f", "a")]]
+
+
+# ---------------------------------------------------------------------------
+# The cone order: `backward` against the full sweep
+
+
+def _check_full_sweep(net, vm, seeds, params):
+    """Assert that `backward` equals the full sweep bit for bit and in
+    key order, and return its gradients."""
+    grads = backward(net, vm, seeds, params)
+    assert grad_bits(grads) == grad_bits(full_backward(net, vm, seeds, params))
+    return grads
+
+
+def test_backward_matches_full_sweep_on_fixtures():
+    for name in fixture_names():
+        t = load_template(name)
+        rng = random.Random(name)
+        for ex in load_examples(name):
+            net = build(ground(t, ex.facts), t, ex.example_id)
+            params = _drawn_params(t, rng)
+            seeds = {atom: rng.uniform(-1.0, 1.0) for atom in net.outputs}
+            for family in ("godel", "ms", "as"):
+                # The values of a full pass, and the online step's.
+                for vm in (forward(net, params, family), compact_forward(net, params, family)):
+                    _check_full_sweep(net, vm, seeds, params)
+
+
+@given(rng=st.randoms(use_true_random=False), weighted_facts=st.booleans())
+def test_backward_matches_full_sweep_on_drawn_programs(rng, weighted_facts):
+    template, facts, params = _drawn_program(rng, weighted_facts)
+    net = build(ground(template, facts), template)
+    seeds = {atom: rng.uniform(-1.0, 1.0) for atom in net.outputs}
+    for family in ("godel", "ms", "as"):
+        _check_full_sweep(net, forward(net, params, family), seeds, params)
+
+
+@pytest.mark.parametrize("family", ["godel", "ms", "as"])
+@given(rng=st.randoms(use_true_random=False))
+def test_backward_matches_full_sweep_on_gradcheck_instances(family, rng):
+    instance = random_gradcheck_instance(rng, family)
+    if instance is not None:
+        template, facts, query_targets, params = instance
+        net = build(ground(template, facts), template)
+        seeds = {atom: target - 0.5 for atom, target in query_targets}
+        _check_full_sweep(net, forward(net, params, family), seeds, params)
+
+
+def test_backward_matches_full_sweep_on_signed_zero_facts():
+    # p(b) = -0.0 under godel for a negative weight; the compact form
+    # gives it p(a)'s 0.0.
+    t = parse_template("? :: p(X) :- e(X).\n? :: q :- p(X).", "t")
+    (ex,) = parse_examples("#example z\n1.0 :: e(a).\n1.0 :: e(b).\n0.0 :: p(a).\n-0.0 :: p(b).\n")
+    net = build(ground(t, ex.facts), t)
+    params = t.params.copy()
+    params["t:0"], params["t:1"] = -0.5, -0.2
+    seeds = {_atom("q"): 0.25, _atom("p", "b"): 0.25}
+    for family in ("godel", "ms", "as"):
+        for vm in (forward(net, params, family), compact_forward(net, params, family)):
+            _check_full_sweep(net, vm, seeds, params)
+
+
+def test_backward_matches_full_sweep_when_a_fact_wins_a_godel_max():
+    # q(b) is fed by a fact alone, so it has no parameter in its cone.
+    t = parse_template("? :: q(X) :- e(X).\n? :: p :- q(X).", "t")
+    params = t.params.copy()
+    params["t:0"] = params["t:1"] = 0.5
+    seeds = {_atom("p"): 1.0, _atom("q", "a"): 0.5}
+    # The max over p's rules is won by the one reading q(b) (0.9 against
+    # q(a)'s 0.5).  At p's fact weight 0.95 that fact wins p's own max and
+    # t:1 gets nothing; at 0.1 the clause edge (0.5 * 0.9) wins.
+    for p_fact, p_value, keys in ((0.95, 0.95, ["t:0"]), (0.1, 0.45, ["t:1", "t:0"])):
+        (ex,) = parse_examples(f"#example z\n1.0 :: e(a).\n0.9 :: q(b).\n{p_fact} :: p.\n")
+        net = build(ground(t, ex.facts), t)
+        vm = forward(net, params, "godel")
+        assert vm.output(net, _atom("p")) == (p_value, False)
+        assert net.outputs[_atom("q", "b")] not in _reverse_order(net)
+        grads = _check_full_sweep(net, vm, seeds, params)
+        assert list(grads) == keys
+        assert grads.get("t:1", 0.9) == 0.9
+
+
+_INF_MINUS_INF = ("? :: q :- e(X), f(X).\n",
+                  "#example x\n1e308 :: e(x).\n1e308 :: e(x).\n-1e308 :: f(x).\n-1e308 :: f(x).\n")
+# Finite weights overflow under godel: q(a) = inf, s(a) = 0.0 * inf = nan.
+_GODEL_OVERFLOW = ("1e300 :: q(X) :- p(X).\n? :: r(X) :- q(X).\n0.0 :: s(X) :- r(X).\n",
+                   "#example x\n1e300 :: p(a).\n")
+
+
+@pytest.mark.parametrize("family, template, examples", [
+    ("godel", *_INF_MINUS_INF), ("ms", *_INF_MINUS_INF), ("as", *_INF_MINUS_INF),
+    ("godel", *_GODEL_OVERFLOW)], ids=["inf_minus_inf-godel", "inf_minus_inf-ms",
+                                       "inf_minus_inf-as", "overflow-godel"])
+def test_backward_matches_full_sweep_on_overflowing_scores(family, template, examples):
+    t = parse_template(template, "t")
+    (ex,) = parse_examples(examples)
+    net = build(ground(t, ex.facts), t)
+    params = t.params.copy()
+    for pid in params.learnable:
+        params[pid] = 0.75
+    vm = forward(net, params, family)
+    assert not all(math.isfinite(v) for v in vm.values)
+    seeds = {atom: 0.3 for atom in net.outputs}
+    grads = _check_full_sweep(net, vm, seeds, params)  # grad_bits compares by float.hex
+    assert grads and not all(math.isfinite(g) for g in grads.values()), family
+
+
+def _fact_only(net, neuron):
+    """An atom fed by facts alone through fixed weights."""
+    return neuron.kind == ATOM and neuron.offset_pid is None and \
+        all(type(w) is float for w in neuron.weights) and \
+        all(net.neurons[s].kind == FACT for s in neuron.inputs)
+
+
+def test_reverse_order_skips_facts_and_fact_only_atoms_on_a_bond_molecule():
+    t = load_template("explosives")
+    (ex,), _ = make_bond_dataset(1, seed=1)
+    net = build(ground(t, ex.facts), t)
+    order = _reverse_order(net)
+    assert order == sorted(order, reverse=True)
+    # Every clause of the template is learnable, so the cone is every
+    # neuron but the facts and the type and bond atoms they feed.
+    skipped = [nid for nid, n in enumerate(net.neurons) if n.kind == FACT or _fact_only(net, n)]
+    assert sorted(skipped + order) == list(range(len(net.neurons)))
+    assert any(net.neurons[nid].kind == ATOM for nid in skipped)
+
+
+def test_reverse_order_holds_a_template_fact_and_all_above():
+    # f(a)'s edge weight is the template fact's parameter; g(a) reads a
+    # fixed-weight example fact only.
+    t = parse_template("? :: f(a).\n0.5 :: h(X) :- f(X), g(X).\n0.5 :: k :- h(X).", "t")
+    (ex,) = parse_examples("#example z\n1.0 :: g(a).\n")
+    net = build(ground(t, ex.facts), t)
+    order = _reverse_order(net)
+    above, frontier = set(), {net.outputs[_atom("f", "a")]}
+    while frontier:  # f(a) and every neuron that reads it, directly or not
+        above |= frontier
+        frontier = {nid for nid, n in enumerate(net.neurons)
+                    if set(n.inputs) & frontier} - above
+    assert net.outputs[_atom("k")] in above
+    assert above <= set(order)
+    assert net.outputs[_atom("g", "a")] not in order
+    params = t.params.copy()
+    params["t:0"] = 0.8
+    for family in ("godel", "ms", "as"):
+        vm = forward(net, params, family)
+        grads = _check_full_sweep(net, vm, {_atom("k"): 1.0}, params)
+        assert grads["t:0"] != 0.0, family
 
 
 # ---------------------------------------------------------------------------

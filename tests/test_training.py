@@ -706,6 +706,89 @@ def test_scores_never_compact(monkeypatch):
     assert all(net._compact is None for net in compiled.nets)
 
 
+def _count_reverse_orders(monkeypatch):
+    """The network each cone-order build is made for."""
+    built = []
+    real = network._reverse_order
+
+    def counting(net):
+        built.append(id(net))
+        return real(net)
+
+    monkeypatch.setattr(network, "_reverse_order", counting)
+    return built
+
+
+def test_train_builds_each_reverse_order_once(monkeypatch):
+    template = load_template("explosives")
+    examples, queries = make_bond_dataset(6, seed=2)
+    queries = [q for q in queries if q.example_id != examples[0].example_id]
+    task = TrainingTask(template, examples, queries,
+                        TrainConfig(epochs=3, restarts=2, learning_rate=2.0), "ms")
+    compiled = CompiledTask(task)
+    built = _count_reverse_orders(monkeypatch)
+    backwards = _count_calls(monkeypatch, "backward")
+    train(task, compiled)
+    # Five queried examples, each swept 3 x 2 times on one kept order.
+    assert len(backwards) == 5 * 3 * 2
+    assert sorted(built) == sorted(id(net) for net in compiled.nets[1:])
+    assert compiled.nets[0]._reverse is None
+    orders = [net._reverse for net in compiled.nets[1:]]
+    train(task, compiled)
+    assert len(built) == 5
+    assert all(net._reverse is order for net, order in zip(compiled.nets[1:], orders))
+
+
+def test_crossvalidate_builds_each_reverse_order_at_most_once(monkeypatch):
+    template = load_template("explosives")
+    examples, queries = make_bond_dataset(10, seed=0)
+    built = _count_reverse_orders(monkeypatch)
+    backwards = _count_calls(monkeypatch, "backward")
+    crossvalidate(template, examples, queries, 5, [0.5, 2.0], [1, 2], 2, 0, "ms")
+    # Every example trains in 4 of the 5 folds, on the one network
+    # `crossvalidate` compiled for it.
+    assert len(backwards) > len(examples)
+    assert 0 < len(built) == len(set(built)) <= len(examples)
+
+
+def test_divergence_names_the_parameter_and_epoch():
+    # Under godel the cross-entropy slope of p's score is -1 or 1, and
+    # the 1e150 fact scales t:1's gradient to match: a large learning
+    # rate takes t:1 past the float range in the fourth epoch, whatever
+    # the restart draws.
+    template = parse_template("? :: q(X) :- e(X).\n? :: p :- q(X).\n", "t")
+    examples = parse_examples("#example a\n1e150 :: e(x).\n"
+                              "#example b\n3.0 :: e(x).\n2.0 :: e(y).\n")
+    queries = [QueryRow("a", _atom("p"), 1.0), QueryRow("b", _atom("p"), 0.0),
+               QueryRow("b", _atom("q", "y"), 1.0)]
+    cfg = TrainConfig(learning_rate=1e100, epochs=5, restarts=3, seed=3,
+                      cost_kind="cross_entropy")
+    task = TrainingTask(template, examples, queries, cfg, "godel")
+    compiled = CompiledTask(task)
+    for restart in range(3):
+        params, rng = compiled.initial_params(restart), random.Random(restart)
+        with pytest.raises(DivergenceError) as exc:
+            for epoch in range(cfg.epochs):
+                sgd_epoch(compiled, params, compiled.learnable(), rng, epoch)
+        assert (exc.value.pid, exc.value.epoch) == ("t:1", 3)
+        assert str(exc.value) == "parameter 't:1' became non-finite in epoch 3"
+    with pytest.raises(AllRestartsFailedError):
+        train(task, compiled)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_train_keeps_the_store_layout(family):
+    # The online update writes into the store's values; it adds no id,
+    # reorders none and leaves the learnable set alone.
+    template = load_template("explosives", family)
+    examples, queries = make_bond_dataset(6, seed=4)
+    cfg = TrainConfig(epochs=3, restarts=2, learning_rate=2.0)
+    params, _ = train(TrainingTask(template, examples, queries, cfg, family))
+    assert list(params) == list(template.params)
+    assert params.learnable == template.params.learnable
+    assert params != template.params
+
+
 def _count_calls(monkeypatch, name):
     calls = []
     real = getattr(training, name)
