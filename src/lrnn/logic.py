@@ -164,27 +164,30 @@ def render_params(params: ParameterStore) -> str:
 
 
 def parse_params(text: str, base: ParameterStore, source: str = "params") -> ParameterStore:
-    """Overlay a parameter file onto the template's store; each id at most once."""
+    """Overlay a parameter file onto the template's store; each id at most once.
+    An id (it holds the template's file name) runs from `param ` to the last
+    ` = `, so a `%` starts a comment only at a line's start or after that."""
     params, seen = base.copy(), set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("%", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("%"):
             continue
-        parts = line.split()
-        if len(parts) != 4 or parts[0] != "param" or parts[2] != "=":
+        head, equals, decimal = line.rpartition(" = ")
+        decimal = decimal.split("%", 1)[0].strip()
+        if not (equals and head.startswith("param ") and decimal):
             raise ParseError("expected 'param <id> = <decimal>'", source, lineno, 1)
-        pid = parts[1]
+        pid = head[len("param "):]
         if pid not in params:
             raise ParseError(f"unknown parameter id {pid!r}", source, lineno, 1)
         if pid in seen:
             raise ParseError(f"parameter {pid!r} is given twice", source, lineno, 1)
         seen.add(pid)
         try:
-            value = float(parts[3])
+            value = float(decimal)
         except ValueError:
-            raise ParseError(f"malformed decimal {parts[3]!r}", source, lineno, 1) from None
+            raise ParseError(f"malformed decimal {decimal!r}", source, lineno, 1) from None
         if not math.isfinite(value):
-            raise ParseError(f"parameter {pid!r} is not finite: {parts[3]!r}", source, lineno, 1)
+            raise ParseError(f"parameter {pid!r} is not finite: {decimal!r}", source, lineno, 1)
         params[pid] = value
     return params
 

@@ -44,12 +44,11 @@ Three passes read the format:
               so one is kept (all facts become one neuron) and `forward`
               over the merged network gives every original value
 
-The merge has two uses in training: the cost pass prices all queried
-examples on one network merged from all of them, and the online step
-runs `forward` over each example's compact form (`GroundNetwork.compact`,
-the example merged on its own, even where nothing merges), expands the
-values back through the index and runs `backward` on the original
-network with them.
+A training task merges its queried examples' networks once.  The cost
+pass runs `forward` over the merge; the online step runs it over one
+example's merged ids (sorted, since `merge` numbers an input before its
+consumers), expands the values through the example's index and runs
+`backward` on the example's own network with them.
 """
 
 from dataclasses import dataclass, field
@@ -78,8 +77,7 @@ class GroundNetwork:
     neurons: list
     outputs: dict  # ground Atom -> atom neuron id
     example_id: str | None = None
-    # Built on first use and kept: both assume `neurons` no longer changes.
-    _compact: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # Built on first use and kept: assumes `neurons` no longer changes.
     _reverse: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def counts(self) -> tuple:
@@ -91,14 +89,6 @@ class GroundNetwork:
 
     def edge_count(self) -> int:
         return sum(len(neuron.inputs) for neuron in self.neurons)
-
-    def compact(self) -> tuple:
-        """(network, index): this network merged on its own, and the merged
-        id of each of its neurons, built on the first call and kept."""
-        if self._compact is None:
-            merged, (index,) = merge([self])
-            self._compact = (merged, index)
-        return self._compact
 
 
 def build(grounding: Grounding, template: Template, example_id: str | None = None,
@@ -167,13 +157,15 @@ class ValueMap:
         return (0.0, True) if nid is None else (self.values[nid], False)
 
 
-def forward(net: GroundNetwork, params, family: str) -> ValueMap:
+def forward(net: GroundNetwork, params, family: str, ids=None) -> ValueMap:
+    """Every neuron's value, or only those of `ids` (inputs first)."""
     ops = operations(family)
     conj, agg = ops[CONJUNCTION][0], ops[AGGREGATION][0]
     disj, total = ops[DISJUNCTION][0], ops[WEIGHTED_SUM][0]
-    pv = params.values
-    values = [1.0] * len(net.neurons)  # a fact neuron's output
-    for nid, neuron in enumerate(net.neurons):
+    pv, neurons = params.values, net.neurons
+    values = [1.0] * len(neurons)  # a fact neuron's output
+    for nid, neuron in (enumerate(neurons) if ids is None
+                        else zip(ids, map(neurons.__getitem__, ids))):
         kind = neuron.kind
         if kind == RULE:
             values[nid] = conj([values[s] for s in neuron.inputs], pv[neuron.offset_pid])

@@ -4,13 +4,14 @@ passes of `network`.
 Updates are online: after each example's queries are backpropagated,
 weights move at once by w <- w - lr * grad, written straight into the
 store's values; with nothing learnable the online step is skipped and
-only the epoch cost is priced.  The online step's `forward` runs over
-the example's compact form and `backward` over the example's own
-network, in its cone order.  Restarts redraw the learnable weights
-from Uniform(init_range) with seeds derived from the master seed, and
-the restart with the lowest final training cost wins; a restart whose
-parameters, final cost or final scores go non-finite is skipped and
-noted in the report.
+only the epoch cost is priced.  The first online step merges the queried
+examples' networks; each step runs `forward` over one example's part of
+the merge and `backward` over its own network, in its cone order, and
+the cost pass runs over the whole merge.  Restarts redraw the learnable
+weights from Uniform(init_range) with seeds derived from the master
+seed, and the restart with the lowest final training cost wins; a
+restart whose parameters, final cost or final scores go non-finite is
+skipped and noted in the report.
 """
 
 import hashlib
@@ -91,7 +92,11 @@ class TrainingTask:
     def __post_init__(self):
         self.family = self.family or self.template.family
         operations(self.family)  # rejects an unknown family
-        ids = {ex.example_id for ex in self.examples}
+        ids = set()
+        for ex in self.examples:
+            if ex.example_id in ids:
+                raise ValueError(f"example id {ex.example_id!r} is given twice")
+            ids.add(ex.example_id)
         for q in self.queries:
             if q.example_id not in ids:
                 raise ValueError(f"query references unknown example {q.example_id!r}")
@@ -134,18 +139,16 @@ def compile_networks(template: Template, examples, capacity: int = DEFAULT_CAPAC
 
 class CompiledTask:
     """One network per example, reused across epochs and restarts, and
-    for the cost pass one merged network of the queried examples.
+    from the first online step on, one merge of the queried ones.
 
     `nets` (example id -> network, as from `compile_networks`) lets tasks
     over the same examples share networks; without it the task's
     examples are grounded here.
 
-    `total_cost` prices its first call per example and merges on the
-    second, since the merge costs one to two per-example passes that a
-    task priced once would not win back; from then on a call is one
-    `forward`, with a bit-identical sum.  `scores` (predict, held-out
-    folds, xval's ranking) stays per example: a one-shot pass would pay
-    more for the merge than it saves.
+    `total_cost` is one `forward` over the merge once it exists, with a
+    bit-identical sum, and prices per example before.  `scores` (predict,
+    held-out folds, xval's ranking) stays per example: a one-shot pass,
+    like a task with nothing learnable, would not win the merge back.
     """
 
     def __init__(self, task: TrainingTask, nets: dict | None = None):
@@ -157,8 +160,7 @@ class CompiledTask:
         for q in task.queries:
             by_example[q.example_id].append(q)
         self.queries = [by_example[ex.example_id] for ex in task.examples]
-        self._priced = False
-        self._shared = None  # (shared network, [(target, shared id or None)] per query)
+        self._shared = None  # built by `_share`
 
     def _weights(self) -> list:
         """The learnable clause weights, in drawing order."""
@@ -181,13 +183,10 @@ class CompiledTask:
     def total_cost(self, params) -> float:
         """Summed cost of every query, in input order; NaN when a score
         is not finite, since a cost would hide an infinite score."""
-        if not self._priced:
-            self._priced = True
+        if self._shared is None:
             pairs = [(q.target, y) for q, y, _missing in self.scores(params)]
         else:
-            if self._shared is None:
-                self._shared = self._share()
-            net, rows = self._shared
+            net, rows, _parts = self._shared
             values = forward(net, params, self.task.family).values
             pairs = [(target, 0.0 if nid is None else values[nid]) for target, nid in rows]
         total = 0.0
@@ -197,16 +196,20 @@ class CompiledTask:
         return total
 
     def _share(self) -> tuple:
-        """The queried examples' networks merged, and (target, merged id
-        or None) per query."""
-        queried = [(net, queries) for net, queries in zip(self.nets, self.queries) if queries]
-        shared, index = merge([net for net, _ in queried])
-        rows = []
-        for (net, queries), ids in zip(queried, index):
-            for q in queries:
-                nid = net.outputs.get(q.atom)
-                rows.append((q.target, None if nid is None else ids[nid]))
-        return shared, rows
+        """The queried examples' networks merged once: (network, (target,
+        merged id or None) per query, per example None if unqueried, else
+        (its merged ids sorted, the merged id of each of its neurons))."""
+        if self._shared is None:
+            queried = [i for i, queries in enumerate(self.queries) if queries]
+            shared, index = merge([self.nets[i] for i in queried])
+            rows, parts = [], [None] * len(self.nets)
+            for i, ids in zip(queried, index):
+                parts[i] = (sorted(set(ids)), ids)
+                for q in self.queries[i]:
+                    nid = self.nets[i].outputs.get(q.atom)
+                    rows.append((q.target, None if nid is None else ids[nid]))
+            self._shared = (shared, rows, parts)
+        return self._shared
 
     def scores(self, params) -> list:
         """(query, score, missing) for every query, input order."""
@@ -224,14 +227,15 @@ class CompiledTask:
 def sgd_epoch(compiled: CompiledTask, params, learnable, rng, epoch: int = 0) -> float:
     """One online pass: per-example gradient step, then the epoch cost
     over all queries under the post-epoch parameters.  Each step runs
-    `forward` over the example's compact form (built on its first step
-    and kept with the network, so xval's folds share it) and `backward`
-    over the network itself: a merged twin's value differs at most in
+    `forward` over the example's merged ids in the task's merge (built
+    on the first step and kept with the task) and `backward` over the
+    example's network itself: a merged twin's value differs at most in
     the sign of a zero, which no gradient tells apart."""
     if not learnable:  # no gradient would be applied
         return compiled.total_cost(params)
     task = compiled.task
     cfg = task.config
+    shared, _rows, parts = compiled._share()
     order = list(range(len(compiled.nets)))
     rng.shuffle(order)
     lr, pv = cfg.learning_rate, params.values
@@ -239,9 +243,8 @@ def sgd_epoch(compiled: CompiledTask, params, learnable, rng, epoch: int = 0) ->
         queries = compiled.queries[idx]
         if not queries:
             continue
-        net = compiled.nets[idx]
-        small, index = net.compact()
-        vm = forward(small, params, task.family)
+        net, (ids, index) = compiled.nets[idx], parts[idx]
+        vm = forward(shared, params, task.family, ids)
         vm.values = list(map(vm.values.__getitem__, index))  # each neuron's merged twin
         query_grads = {}
         for q in queries:

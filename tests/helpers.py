@@ -1,13 +1,13 @@
 """Shared test utilities: fixture loading, a small Graphviz structure
 checker, a graph-level weight-untying transform, and the online step's
-forward pass over a network's compact form."""
+forward pass over a merged network."""
 
 import re
 
 from lrnn import ParameterStore
 from lrnn.fixtures import fixture_text
 from lrnn.logic import parse_examples, parse_queries, parse_template
-from lrnn.network import GroundNetwork, Neuron, ValueMap, forward
+from lrnn.network import GroundNetwork, Neuron, ValueMap, forward, merge
 
 
 def load_template(name, family="ms"):
@@ -81,12 +81,16 @@ def untied_copy(net, params):
     return copy, store, mapping
 
 
-def compact_forward(net, params, family):
-    """The online step's values: `forward` over the compact form, each
+def merged_forward(nets, params, family):
+    """The online step's values for each network: `forward` over the
+    merge of all of them, only over that network's merged ids, each
     neuron given its merged twin's value."""
-    small, index = net.compact()
-    values = forward(small, params, family).values
-    return ValueMap([values[i] for i in index], family)
+    shared, index = merge(nets)
+    out = []
+    for ids in index:
+        values = forward(shared, params, family, sorted(set(ids))).values
+        out.append(ValueMap([values[i] for i in ids], family))
+    return out
 
 
 def grad_bits(grads):

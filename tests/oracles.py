@@ -378,3 +378,18 @@ def full_backward(net, vm, query_grads, params) -> dict:
         if offset is not None:
             grads[offset] = grads.get(offset, 0.0) + g
     return grads
+
+
+def unshared_merge(nets) -> tuple:
+    """`lrnn.network.merge` with nothing shared: the networks side by
+    side, each neuron its own merged id, so `forward` over one network's
+    merged ids computes exactly that network's values."""
+    from lrnn.network import GroundNetwork, Neuron
+
+    neurons, index = [], []
+    for net in nets:
+        base = len(neurons)
+        neurons += [Neuron(n.kind, n.origin, tuple(base + s for s in n.inputs), n.weights,
+                           n.offset_pid) for n in net.neurons]
+        index.append(list(range(base, len(neurons))))
+    return GroundNetwork(neurons, {}), index

@@ -8,12 +8,11 @@ import pytest
 
 from lrnn import (Atom, CompiledTask, Example, QueryRow, TrainingTask, crossvalidate,
                   make_folds, parse_params, render_params)
-from lrnn import cli
+from lrnn import cli, network, training
 from lrnn.cli import main
 from lrnn.errors import ParseError
 from lrnn.fixtures import fixture_dir, fixture_text
 from lrnn.logic import parse_template, render_examples
-from lrnn.network import GroundNetwork
 
 from helpers import check_dot
 from molecules import make_bond_dataset
@@ -233,6 +232,22 @@ def test_params_round_trip_bit_exact():
         params[pid] = (0.1 + 0.2) * (i + 1) * (-1.0) ** i
     again = parse_params(render_params(params), template.params)
     assert again == params
+
+
+@pytest.mark.parametrize("name", ["my template.lrnn", "50% template.lrnn"])
+def test_params_round_trip_when_the_template_name_holds_a_blank_or_a_percent(tmp_path, name):
+    template = tmp_path / name
+    template.write_text(fixture_text("explosives", "template.lrnn"), encoding="utf-8")
+    _, examples, queries = _bond_files(tmp_path, 6)
+    assert main(_train_args(tmp_path, str(template), examples, queries)) == 0
+    text = (tmp_path / "params.txt").read_text(encoding="utf-8")
+    base = parse_template(template.read_text(encoding="utf-8"), name, "ms").params
+    params = parse_params(f"% {name}\n" + text.replace("\n", " % note\n", 1), base)
+    assert render_params(params) == text
+    rc = main(["predict", "--template", str(template), "--examples", examples,
+               "--queries", queries, "--params", str(tmp_path / "params.txt"),
+               "--out", str(tmp_path / "scores.csv")])
+    assert rc == 0
 
 
 def test_params_unknown_id_rejected(tmp_path):
@@ -477,14 +492,16 @@ def test_predict_matches_library_scores(tmp_path):
 
 
 def test_predict_never_compacts_a_network(tmp_path, monkeypatch):
+    # Only a trained task merges its networks; predict scores each one.
     template_path, examples_path, queries_path = _bond_files(tmp_path, 6)
     assert main(_train_args(tmp_path, template_path, examples_path, queries_path)) == 0
-    compacted = []
-    monkeypatch.setattr(GroundNetwork, "compact", lambda self: compacted.append(self))
+    merged = []
+    for module in (training, network):
+        monkeypatch.setattr(module, "merge", lambda nets: merged.append(nets))
     rc = main(["predict", "--template", template_path, "--examples", examples_path,
                "--queries", queries_path, "--params", str(tmp_path / "params.txt"),
                "--out", str(tmp_path / "scores.csv")])
-    assert (rc, compacted) == (0, [])
+    assert (rc, merged) == (0, [])
 
 
 # ---------------------------------------------------------------------------

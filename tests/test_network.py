@@ -9,10 +9,9 @@ from hypothesis import given, strategies as st
 from lrnn import (Atom, CapacityError, Constant, backward, build, export_dot, forward, ground,
                   parse_examples, parse_template)
 from lrnn.fixtures import fixture_names
-from lrnn.network import AGG, ATOM, FACT, RULE, _reverse_order
+from lrnn.network import AGG, ATOM, FACT, RULE, _reverse_order, merge
 
-from helpers import (check_dot, compact_forward, grad_bits, load_examples, load_queries,
-                     load_template)
+from helpers import check_dot, grad_bits, load_examples, load_template, merged_forward
 from molecules import make_bond_dataset
 from oracles import (family_values, full_backward, fuzzy_min_max_values, random_gradcheck_instance,
                      random_nonrecursive_program)
@@ -95,11 +94,11 @@ def test_cnn_filter_has_three_positions_one_pool():
     assert len(aggs[0].inputs) == 3
 
 
-def _check_format(net, params):
-    """The format's invariants on a network and on its compact form:
-    inputs precede their consumer, only atom edges store weights, and
-    each is a parameter id in the store or a float."""
-    for network in (net, net.compact()[0]):
+def _check_format(nets, params):
+    """The format's invariants on networks and on their merge: inputs
+    precede their consumer, only atom edges store weights, and each is a
+    parameter id in the store or a float."""
+    for network in (*nets, merge(nets)[0]):
         for nid, neuron in enumerate(network.neurons):
             assert all(src < nid for src in neuron.inputs)
             if neuron.kind == ATOM:
@@ -113,11 +112,11 @@ def _check_format(net, params):
 def test_inputs_precede_consumers():
     names = ("family", "horses", "explosives", "cnn", "pressure", "bright_edges")
     for name in names:
-        t, net = _net(name)
-        _check_format(net, t.params)
+        t = load_template(name)
+        _check_format([build(ground(t, ex.facts), t) for ex in load_examples(name)], t.params)
     for seed in range(10):
         template, facts = random_nonrecursive_program(random.Random(seed))
-        _check_format(build(ground(template, facts), template), template.params)
+        _check_format([build(ground(template, facts), template)], template.params)
 
 
 def test_counts_derivable_from_grounding():
@@ -320,61 +319,67 @@ def test_example_fact_order_does_not_change_values():
 
 
 # ---------------------------------------------------------------------------
-# The compact form: one network merged on its own
+# The merged form: a task's networks merged into one
 
 
-def _check_compact(net, params, rng):
-    """The compact form against the network it came from: structure,
-    and under every family the values and gradients."""
-    small, index = net.compact()
-    assert net.compact() is net.compact()  # built once
-    assert len(small.neurons) <= len(net.neurons) == len(index)
-    # Every neuron's merged twin computes the same thing from the twins
-    # of its inputs, so every path of the merged network maps back to one
-    # of the original.
-    for n, i in zip(net.neurons, index):
-        twin = small.neurons[i]
-        assert (twin.kind, twin.offset_pid, twin.weights) == (n.kind, n.offset_pid, n.weights)
-        assert twin.inputs == tuple(index[s] for s in n.inputs)
-    seeds = {atom: rng.uniform(-1.0, 1.0) for atom in net.outputs}
+def _check_merged(nets, params, rng):
+    """The merge against the networks it came from: structure, and under
+    every family each network's online values and gradients."""
+    shared, index = merge(nets)
+    assert len(shared.neurons) <= sum(len(net.neurons) for net in nets)
+    for net, ids in zip(nets, index):
+        assert len(ids) == len(net.neurons)
+        # Every neuron's merged twin computes the same thing from the
+        # twins of its inputs, so every path of the merged network maps
+        # back to one of the original, and the net's sorted merged ids
+        # hold every input of their neurons.
+        for n, i in zip(net.neurons, ids):
+            twin = shared.neurons[i]
+            assert (twin.kind, twin.offset_pid, twin.weights) == (n.kind, n.offset_pid, n.weights)
+            assert twin.inputs == tuple(ids[s] for s in n.inputs)
     for family in ("godel", "ms", "as"):
-        got, want = compact_forward(net, params, family), forward(net, params, family)
-        # == tells values apart by their bits, except for the sign of a zero.
-        assert got.values == want.values, family
-        assert grad_bits(backward(net, got, seeds, params)) == \
-            grad_bits(backward(net, want, seeds, params)), family
+        for net, got in zip(nets, merged_forward(nets, params, family)):
+            want = forward(net, params, family)
+            # == tells values apart by their bits, except for the sign of a zero.
+            assert got.values == want.values, family
+            seeds = {atom: rng.uniform(-1.0, 1.0) for atom in net.outputs}
+            assert grad_bits(backward(net, got, seeds, params)) == \
+                grad_bits(backward(net, want, seeds, params)), family
 
 
-def test_compact_form_matches_the_network_on_fixtures():
+def test_merged_form_matches_the_networks_on_fixtures():
     shrunk = 0
     for name in fixture_names():
         t = load_template(name)
         rng = random.Random(name)
-        for ex in load_examples(name):
-            net = build(ground(t, ex.facts), t, ex.example_id)
-            _check_compact(net, _drawn_params(t, rng), rng)
-            shrunk += len(net.compact()[0].neurons) < len(net.neurons)
+        nets = [build(ground(t, ex.facts), t, ex.example_id) for ex in load_examples(name)]
+        _check_merged(nets, _drawn_params(t, rng), rng)
+        shrunk += len(merge(nets)[0].neurons) < sum(len(net.neurons) for net in nets)
     assert shrunk
 
 
 @given(rng=st.randoms(use_true_random=False), weighted_facts=st.booleans())
-def test_compact_form_matches_the_network_on_drawn_programs(rng, weighted_facts):
+def test_merged_form_matches_the_networks_on_drawn_programs(rng, weighted_facts):
     template, facts, params = _drawn_program(rng, weighted_facts)
-    _check_compact(build(ground(template, facts), template), params, rng)
+    subsets = [facts] + [tuple(f for f in facts if rng.random() < 0.7) for _ in range(2)]
+    _check_merged([build(ground(template, fs), template) for fs in subsets], params, rng)
 
 
-def test_compact_form_merges_equal_neurons_of_one_network():
+def test_merged_form_merges_equal_neurons_within_and_across_networks():
     # e(a) and e(b) read the one fact neuron through equal weights, so
-    # everything above them merges; f(a) has a weight of its own.
+    # everything above them merges, also with e(c) of the second
+    # network; f(a) has a weight of its own.
     t = parse_template("0.5 :: p(X) :- e(X).", "src")
     facts = ((1.0, _atom("e", "a")), (1.0, _atom("e", "b")), (2.0, _atom("f", "a")))
-    net = build(ground(t, facts), t)
-    small, index = net.compact()
-    assert net.counts() == (5, 3, 2, 2)
-    assert small.counts() == (3, 1, 1, 1)
+    net, other = build(ground(t, facts), t), build(ground(t, ((1.0, _atom("e", "c")),)), t)
+    shared, (index, other_index) = merge([net, other])
+    assert (net.counts(), other.counts()) == ((5, 3, 2, 2), (2, 1, 1, 1))
+    assert shared.counts() == (3, 1, 1, 1)
     out = net.outputs
-    assert index[out[_atom("p", "a")]] == index[out[_atom("p", "b")]]
+    assert index[out[_atom("p", "a")]] == index[out[_atom("p", "b")]] \
+        == other_index[other.outputs[_atom("p", "c")]]
     assert index[out[_atom("e", "a")]] != index[out[_atom("f", "a")]]
+    assert len(set(other_index)) == 5 and index[out[_atom("f", "a")]] not in other_index
 
 
 # ---------------------------------------------------------------------------
@@ -393,13 +398,13 @@ def test_backward_matches_full_sweep_on_fixtures():
     for name in fixture_names():
         t = load_template(name)
         rng = random.Random(name)
-        for ex in load_examples(name):
-            net = build(ground(t, ex.facts), t, ex.example_id)
-            params = _drawn_params(t, rng)
-            seeds = {atom: rng.uniform(-1.0, 1.0) for atom in net.outputs}
-            for family in ("godel", "ms", "as"):
+        nets = [build(ground(t, ex.facts), t, ex.example_id) for ex in load_examples(name)]
+        params = _drawn_params(t, rng)
+        for family in ("godel", "ms", "as"):
+            for net, online in zip(nets, merged_forward(nets, params, family)):
+                seeds = {atom: rng.uniform(-1.0, 1.0) for atom in net.outputs}
                 # The values of a full pass, and the online step's.
-                for vm in (forward(net, params, family), compact_forward(net, params, family)):
+                for vm in (forward(net, params, family), online):
                     _check_full_sweep(net, vm, seeds, params)
 
 
@@ -424,17 +429,20 @@ def test_backward_matches_full_sweep_on_gradcheck_instances(family, rng):
 
 
 def test_backward_matches_full_sweep_on_signed_zero_facts():
-    # p(b) = -0.0 under godel for a negative weight; the compact form
-    # gives it p(a)'s 0.0.
+    # p(b) = -0.0 under godel for a negative weight; the merge gives it
+    # p(a)'s 0.0.  Across examples, neg's e(a) = -0.0 merges into pos's 0.0.
     t = parse_template("? :: p(X) :- e(X).\n? :: q :- p(X).", "t")
-    (ex,) = parse_examples("#example z\n1.0 :: e(a).\n1.0 :: e(b).\n0.0 :: p(a).\n-0.0 :: p(b).\n")
-    net = build(ground(t, ex.facts), t)
+    examples = parse_examples("#example z\n1.0 :: e(a).\n1.0 :: e(b).\n0.0 :: p(a).\n"
+                              "-0.0 :: p(b).\n#example pos\n0.0 :: e(a).\n"
+                              "#example neg\n-0.0 :: e(a).\n")
+    nets = [build(ground(t, ex.facts), t) for ex in examples]
     params = t.params.copy()
     params["t:0"], params["t:1"] = -0.5, -0.2
-    seeds = {_atom("q"): 0.25, _atom("p", "b"): 0.25}
     for family in ("godel", "ms", "as"):
-        for vm in (forward(net, params, family), compact_forward(net, params, family)):
-            _check_full_sweep(net, vm, seeds, params)
+        for net, online in zip(nets, merged_forward(nets, params, family)):
+            seeds = {atom: 0.25 for atom in net.outputs}
+            for vm in (forward(net, params, family), online):
+                _check_full_sweep(net, vm, seeds, params)
 
 
 def test_backward_matches_full_sweep_when_a_fact_wins_a_godel_max():

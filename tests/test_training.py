@@ -15,14 +15,13 @@ from lrnn import (FAMILIES, AllRestartsFailedError, Atom, CompiledTask, Constant
 from lrnn import network, training
 from lrnn.fixtures import fixture_names
 from lrnn.logic import Example, QueryRow
-from lrnn.network import GroundNetwork
 from lrnn.training import COST_KINDS
 
-from helpers import (compact_forward, grad_bits, load_examples, load_queries, load_template,
+from helpers import (grad_bits, load_examples, load_queries, load_template, merged_forward,
                      untied_copy)
 from molecules import make_bond_dataset, planted_label
 from oracles import (central_difference, per_example_total_cost, random_gradcheck_instance,
-                     random_nonrecursive_program, randomize_params, rel_close)
+                     random_nonrecursive_program, randomize_params, rel_close, unshared_merge)
 
 LOG_TWO = 0.6931471805599453
 
@@ -409,6 +408,14 @@ def test_task_validation():
         TrainingTask(template, examples, bad_target, cfg, "ms")
 
 
+def test_task_rejects_an_example_id_given_twice():
+    # The parser rejects this too; the task indexes examples by position.
+    template = parse_template("0.5 :: p(X) :- e(X).", "t")
+    examples = [Example("x", ((1.0, _atom("e", "a")),)), Example("x", ())]
+    with pytest.raises(ValueError, match="example id 'x' is given twice"):
+        TrainingTask(template, examples, [QueryRow("x", _atom("q"), 1.0)], TrainConfig(), "ms")
+
+
 def test_offsets_follow_family_and_freeze_flag():
     task_ms = _tiny_task()
     assert any(pid.endswith((":conj", ":disj")) for pid in CompiledTask(task_ms).learnable())
@@ -566,10 +573,13 @@ def test_total_cost_is_per_example_sum_on_fixtures(name, family):
     for kind in COST_KINDS:
         task = TrainingTask(template, examples, queries, TrainConfig(cost_kind=kind), family)
         compiled = CompiledTask(task)
-        for _ in range(3):  # the first call prices per example, later ones share
-            got, want = _cost_bits(compiled, randomize_params(template, rng))
-            assert got == want, kind
-        assert compiled._shared is not None
+        for merged in (False, True):  # priced per example, then over the merge
+            if merged:
+                compiled._share()
+            for _ in range(2):
+                got, want = _cost_bits(compiled, randomize_params(template, rng))
+                assert got == want, kind
+            assert (compiled._shared is not None) == merged
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -586,9 +596,12 @@ def test_total_cost_is_per_example_sum_on_drawn_programs(family, rng, weighted_f
                for ex in examples for _ in range(rng.randint(0, 3))]
     task = TrainingTask(template, examples, queries, TrainConfig(), family)
     compiled = CompiledTask(task)
-    for _ in range(3):
-        got, want = _cost_bits(compiled, randomize_params(template, rng))
-        assert got == want
+    for merged in (False, True):  # priced per example, then over the merge
+        if merged:
+            compiled._share()
+        for _ in range(2):
+            got, want = _cost_bits(compiled, randomize_params(template, rng))
+            assert got == want
 
 
 def test_renamed_constants_add_no_shared_neuron():
@@ -604,10 +617,7 @@ def test_renamed_constants_add_no_shared_neuron():
     sizes = []
     for exs, qs in (([ex], [q]), ([ex, copy], [q, QueryRow("copy", rename(q.atom), q.target)])):
         compiled = CompiledTask(TrainingTask(template, exs, qs, TrainConfig(), "ms"))
-        params = compiled.initial_params(1)
-        compiled.total_cost(params)
-        compiled.total_cost(params)
-        sizes.append(len(compiled._shared[0].neurons))
+        sizes.append(len(compiled._share()[0].neurons))
     assert sizes[0] == sizes[1] < len(compiled.nets[0].neurons)
 
 
@@ -622,22 +632,25 @@ def test_signed_zero_fact_weights_cost_the_same(family):
     for kind in COST_KINDS:
         compiled = CompiledTask(TrainingTask(template, examples, queries,
                                              TrainConfig(cost_kind=kind), family))
-        for _ in range(3):
+        for merged in (False, True):  # priced per example, then over the merge
+            if merged:
+                compiled._share()
             got, want = _cost_bits(compiled, template.params)
             assert got == want, kind
         assert len(compiled._shared[0].neurons) == len(compiled.nets[0].neurons)
 
 
 # ---------------------------------------------------------------------------
-# The online step over each example's compact form
+# The online step over the task's merged network
 
 
-def _train_bits(task, monkeypatch, compact):
-    """train() with or without the compact form: (parameter bits, report)."""
+def _train_bits(task, monkeypatch, merged):
+    """train() with the task's merge or with its networks side by side,
+    so that the online step runs `forward` over each original network:
+    (parameter bits, report)."""
     with monkeypatch.context() as m:
-        if not compact:
-            m.setattr(GroundNetwork, "compact",
-                      lambda self: (self, list(range(len(self.neurons)))))
+        if not merged:
+            m.setattr(training, "merge", unshared_merge)
         params, report = train(task, CompiledTask(task))
     return [(pid, params[pid].hex()) for pid in params], report.jsonl()
 
@@ -652,58 +665,89 @@ def test_training_is_the_same_with_and_without_compaction(name, family, monkeypa
 
 
 def test_signed_zero_facts_train_the_same_with_and_without_compaction(monkeypatch):
-    # Under godel p(b) = max(w * 1.0, -0.0) = -0.0 for w < 0; the compact
-    # form merges p(b) into p(a), whose value is 0.0.
+    # Under godel p(b) = max(w * 1.0, -0.0) = -0.0 for w < 0.  The merge
+    # merges z's p(b) into its p(a), whose value is 0.0, and neg's facts
+    # into pos's 0.0 ones.
     template = parse_template("? :: p(X) :- e(X).\n? :: q :- p(X).", "t")
-    (ex,) = parse_examples("#example z\n1.0 :: e(a).\n1.0 :: e(b).\n0.0 :: p(a).\n-0.0 :: p(b).\n")
-    queries = [QueryRow("z", Atom("q", ()), 1.0), QueryRow("z", _atom("p", "b"), 0.0)]
-    cfg = TrainConfig(learning_rate=0.5, epochs=4, restarts=3, init_range=(-1.0, -0.1))
-    flipped = 0
-    for family in FAMILIES:
-        task = TrainingTask(template, [ex], queries, cfg, family)
-        compiled = CompiledTask(task)
-        net, params = compiled.nets[0], compiled.initial_params(1)
-        got, want = compact_forward(net, params, family), forward(net, params, family)
-        assert got.values == want.values
-        flipped += [v.hex() for v in got.values] != [v.hex() for v in want.values]
-        seeds = {q.atom: 0.25 for q in queries}
-        assert grad_bits(backward(net, got, seeds, params)) == \
-            grad_bits(backward(net, want, seeds, params))
-        assert _train_bits(task, monkeypatch, True) == _train_bits(task, monkeypatch, False)
-    assert flipped  # the example does show a zero whose sign the merge flips
+    one = parse_examples("#example z\n1.0 :: e(a).\n1.0 :: e(b).\n0.0 :: p(a).\n-0.0 :: p(b).\n")
+    two = parse_examples("#example pos\n0.0 :: e(a).\n1.0 :: e(b).\n0.0 :: p(b).\n"
+                         "#example neg\n-0.0 :: e(a).\n1.0 :: e(b).\n-0.0 :: p(b).\n")
+    cases = [(one, [QueryRow("z", Atom("q", ()), 1.0), QueryRow("z", _atom("p", "b"), 0.0)]),
+             (two, [QueryRow(ex.example_id, atom, target) for ex in two
+                    for atom, target in ((_atom("e", "a"), 1.0), (_atom("p", "b"), 0.0),
+                                         (Atom("q", ()), 1.0))])]
+    for examples, queries in cases:
+        flipped = 0
+        for family in FAMILIES:
+            for kind in COST_KINDS:
+                cfg = TrainConfig(learning_rate=0.5, epochs=4, restarts=3,
+                                  init_range=(-1.0, -0.1), cost_kind=kind)
+                task = TrainingTask(template, examples, queries, cfg, family)
+                compiled = CompiledTask(task)
+                nets, params = compiled.nets, compiled.initial_params(1)
+                for net, got in zip(nets, merged_forward(nets, params, family)):
+                    want = forward(net, params, family)
+                    assert got.values == want.values
+                    flipped += [v.hex() for v in got.values] != [v.hex() for v in want.values]
+                    seeds = {q.atom: 0.25 for q in queries}
+                    assert grad_bits(backward(net, got, seeds, params)) == \
+                        grad_bits(backward(net, want, seeds, params))
+                assert _train_bits(task, monkeypatch, True) == \
+                    _train_bits(task, monkeypatch, False), (family, kind)
+        assert flipped  # the case does show a zero whose sign the merge flips
 
 
-def _count_compactions(monkeypatch):
-    """The networks passed to each merge the compact form makes."""
+def _count_merges(monkeypatch):
+    """The networks passed to each merge a task makes."""
     merged = []
-    real = network.merge
+    real = training.merge
 
     def counting(nets):
         merged.append([id(net) for net in nets])
         return real(nets)
 
-    monkeypatch.setattr(network, "merge", counting)
+    monkeypatch.setattr(training, "merge", counting)
     return merged
 
 
-def test_crossvalidate_compacts_each_example_at_most_once(monkeypatch):
+def test_train_merges_the_queried_networks_once(monkeypatch):
+    template = load_template("explosives")
+    examples, queries = make_bond_dataset(6, seed=2)
+    queries = [q for q in queries if q.example_id != examples[0].example_id]
+    task = TrainingTask(template, examples, queries, TrainConfig(epochs=3, restarts=2), "ms")
+    compiled = CompiledTask(task)
+    merged = _count_merges(monkeypatch)
+    train(task, compiled)
+    train(task, compiled)
+    assert merged == [[id(net) for net in compiled.nets[1:]]]
+
+
+def test_crossvalidate_merges_once_per_trained_task(monkeypatch):
     template = load_template("explosives")
     examples, queries = make_bond_dataset(10, seed=0)
-    merged = _count_compactions(monkeypatch)
+    merged = _count_merges(monkeypatch)
+    tasks = []
+    real_train = training.train
+
+    def recording_train(task, compiled):
+        tasks.append([id(net) for net in compiled.nets])
+        return real_train(task, compiled)
+
+    monkeypatch.setattr(training, "train", recording_train)
     crossvalidate(template, examples, queries, 5, [0.5, 2.0], [1, 2], 2, 0, "ms")
-    nets = [net_id for call in merged for net_id in call]
-    assert all(len(call) == 1 for call in merged)
-    assert 0 < len(nets) == len(set(nets)) <= len(examples)
+    # Every bond example is queried, so each merge is over its task's networks.
+    assert len(tasks) == 5 * 2 * 2
+    assert merged == tasks
 
 
 def test_scores_never_compact(monkeypatch):
     template = load_template("explosives")
     examples, queries = make_bond_dataset(6, seed=1)
-    merged = _count_compactions(monkeypatch)
+    merged = _count_merges(monkeypatch)
     compiled = CompiledTask(TrainingTask(template, examples, queries, TrainConfig(), "ms"))
     compiled.scores(compiled.initial_params(3))
     assert merged == []
-    assert all(net._compact is None for net in compiled.nets)
+    assert compiled._shared is None
 
 
 def _count_reverse_orders(monkeypatch):
@@ -811,9 +855,9 @@ def test_train_forward_calls_per_epoch_and_restart(monkeypatch):
     compiled = CompiledTask(task)
     calls = _count_calls(monkeypatch, "forward")
     train(task, compiled)
-    # The online step is per example; the first cost pass prices each
-    # example, every later one runs once over the shared network.
-    assert len(calls) == n * epochs * restarts + n + (epochs * restarts - 1)
+    # The online step is per example, and every cost pass runs once over
+    # the merge the first online step built.
+    assert len(calls) == n * epochs * restarts + epochs * restarts
 
 
 def test_nothing_learnable_skips_the_online_step(monkeypatch):
@@ -831,12 +875,15 @@ def test_nothing_learnable_skips_the_online_step(monkeypatch):
             monkeypatch.setattr(compiled, "learnable", lambda: frozenset({"no such pid"}))
         forwards = _count_calls(monkeypatch, "forward")
         backwards = _count_calls(monkeypatch, "backward")
+        merges = _count_merges(monkeypatch)
         params, report = train(task, compiled)
-        runs.append((params, report, len(forwards), len(backwards)))
+        runs.append((params, report, len(forwards), len(backwards), len(merges)))
         monkeypatch.undo()
-    (skipped, report, forwards, backwards), (full, full_report, full_forwards, _) = runs
-    assert (forwards, backwards) == (len(examples) + 3 * 2 - 1, 0)
-    assert full_forwards == forwards + len(examples) * 3 * 2
+    (skipped, report, forwards, backwards, merges), (full, full_report, full_forwards, _, _) = runs
+    # Without an online step nothing is merged, and every epoch's cost
+    # is priced per example.
+    assert (forwards, backwards, merges) == (len(examples) * 3 * 2, 0, 0)
+    assert full_forwards == len(examples) * 3 * 2 + 3 * 2
     assert skipped == full == template.params
     assert report.jsonl() == full_report.jsonl()
 
