@@ -34,7 +34,8 @@ class RecursiveTemplateError(LrnnError):
 
 class CapacityError(LrnnError):
     """Grounding exceeded the configured budget: `what` names what was
-    counted, model atoms plus rule instances or the neurons of one network."""
+    counted, model atoms plus rule instances, the substitutions of one
+    join step or the neurons of one network."""
 
     def __init__(self, count: int, cap: int, what: str = "model atoms plus rule instances"):
         self.count = count

@@ -32,8 +32,9 @@ facts, are the model's own `Atom` objects, looked up by (predicate,
 argument names).
 
 One budget, `capacity`, bounds the grounding work: the model may hold
-at most that many atoms, and model atoms plus distinct rule instances
-may not exceed it either.  `network.build` bounds each example's
+at most that many atoms, model atoms plus distinct rule instances may
+not exceed it either, and neither may the substitutions of a join step
+before a body's last atom.  `network.build` bounds each example's
 neurons by the same budget.
 """
 
@@ -104,15 +105,20 @@ def _index(indexes: dict, sig, key_pos: tuple, source) -> dict:
     return index
 
 
-def _join(rule: _Rule, relations, indexes: dict) -> list:
+def _join(rule: _Rule, relations, indexes: dict, capacity: int) -> list:
     """All substitutions satisfying the body.  indexes is the cache of
-    relation indexes, valid while the body relations stay unchanged."""
+    relation indexes, valid while the body relations stay unchanged.
+    CapacityError once a step before the last body atom holds more than
+    capacity substitutions; the last step's become matches, which
+    `ground` charges."""
     substs = [{}]
-    for sig, key_pos, key_pat, free in rule.body:
+    last = len(rule.body) - 1
+    for step, (sig, key_pos, key_pat, free) in enumerate(rule.body):
         source = relations.get(sig, ())
         if not source:
             return []
         index = _index(indexes, sig, key_pos, source) if key_pos else None
+        bound = capacity if step < last else float("inf")
         extended = []
         for subst in substs:
             if index is None:
@@ -124,6 +130,10 @@ def _join(rule: _Rule, relations, indexes: dict) -> list:
                 got = _bind(free, row, subst)
                 if got is not None:
                     extended.append(got)
+            # One substitution adds at most one relation's rows, which
+            # the model's budget already bounds.
+            if len(extended) > bound:
+                raise CapacityError(len(extended), capacity, "substitutions in one join step")
         if not extended:
             return []
         substs = extended
@@ -177,7 +187,7 @@ def _evaluate(template: Template, example_facts, capacity: int, on_match=None) -
     # Bodies before heads: all rules with head p run before any rule reads p.
     for rule in plan.schedule:
         head = relations.setdefault(rule.head_sig, set())
-        for subst in _join(rule, relations, indexes):
+        for subst in _join(rule, relations, indexes, capacity):
             for full in _head_expansions(rule, subst, universe):
                 row = _instantiate(rule.head_pat, full)
                 if row not in head:

@@ -44,11 +44,12 @@ Three passes read the format:
               so one is kept (all facts become one neuron) and `forward`
               over the merged network gives every original value
 
-A training task merges its queried examples' networks once.  The cost
-pass runs `forward` over the merge; the online step runs it over one
-example's merged ids (sorted, since `merge` numbers an input before its
-consumers), expands the values through the example's index and runs
-`backward` on the example's own network with them.
+A training task merges its queried examples' networks once; from then
+on its scores come from one `forward` over the merge.  The online step
+runs `forward` over one example's merged ids (sorted, since `merge`
+numbers an input before its consumers) into the epoch's one buffer,
+expands the values through the example's index and runs `backward` on
+the example's own network with them.
 """
 
 from dataclasses import dataclass, field
@@ -157,13 +158,16 @@ class ValueMap:
         return (0.0, True) if nid is None else (self.values[nid], False)
 
 
-def forward(net: GroundNetwork, params, family: str, ids=None) -> ValueMap:
-    """Every neuron's value, or only those of `ids` (inputs first)."""
+def forward(net: GroundNetwork, params, family: str, ids=None, values=None) -> ValueMap:
+    """Every neuron's value, or only those of `ids` (inputs first, closed
+    under inputs).  `values`, when given, is the buffer written: 1.0 in
+    each fact's slot, and only the slots of `ids` are written or read."""
     ops = operations(family)
     conj, agg = ops[CONJUNCTION][0], ops[AGGREGATION][0]
     disj, total = ops[DISJUNCTION][0], ops[WEIGHTED_SUM][0]
     pv, neurons = params.values, net.neurons
-    values = [1.0] * len(neurons)  # a fact neuron's output
+    if values is None:
+        values = [1.0] * len(neurons)  # a fact neuron's output
     for nid, neuron in (enumerate(neurons) if ids is None
                         else zip(ids, map(neurons.__getitem__, ids))):
         kind = neuron.kind

@@ -3,15 +3,15 @@ passes of `network`.
 
 Updates are online: after each example's queries are backpropagated,
 weights move at once by w <- w - lr * grad, written straight into the
-store's values; with nothing learnable the online step is skipped and
-only the epoch cost is priced.  The first online step merges the queried
-examples' networks; each step runs `forward` over one example's part of
-the merge and `backward` over its own network, in its cone order, and
-the cost pass runs over the whole merge.  Restarts redraw the learnable
-weights from Uniform(init_range) with seeds derived from the master
-seed, and the restart with the lowest final training cost wins; a
-restart whose parameters, final cost or final scores go non-finite is
-skipped and noted in the report.
+store's values.  The first online step merges the queried examples'
+networks; each step runs `forward` over one example's part of the merge
+and `backward` over its own network, in its cone order.  The epoch cost
+sums `CompiledTask.scores`; with nothing learnable `train` prices the
+task once for every epoch.  Restarts redraw the learnable weights from
+Uniform(init_range) with seeds derived from the master seed, and the
+restart with the lowest final training cost wins; a restart whose
+parameters, final cost or final scores go non-finite is skipped and
+noted in the report.
 """
 
 import hashlib
@@ -145,10 +145,9 @@ class CompiledTask:
     over the same examples share networks; without it the task's
     examples are grounded here.
 
-    `total_cost` is one `forward` over the merge once it exists, with a
-    bit-identical sum, and prices per example before.  `scores` (predict,
-    held-out folds, xval's ranking) stays per example: a one-shot pass,
-    like a task with nothing learnable, would not win the merge back.
+    `scores` alone chooses how the task is priced, and `total_cost` sums
+    its rows.  It builds no merge: a one-shot pass (predict, held-out
+    folds, a task with nothing learnable) would not win it back.
     """
 
     def __init__(self, task: TrainingTask, nets: dict | None = None):
@@ -181,22 +180,16 @@ class CompiledTask:
         return params
 
     def total_cost(self, params) -> float:
-        """Summed cost of every query, in input order; NaN when a score
+        """Summed cost of `scores`' rows, in their order; NaN when a score
         is not finite, since a cost would hide an infinite score."""
-        if self._shared is None:
-            pairs = [(q.target, y) for q, y, _missing in self.scores(params)]
-        else:
-            net, rows, _parts = self._shared
-            values = forward(net, params, self.task.family).values
-            pairs = [(target, 0.0 if nid is None else values[nid]) for target, nid in rows]
         total = 0.0
         kind = self.task.config.cost_kind
-        for target, y in pairs:
-            total += cost(y, target, kind)[0] if math.isfinite(y) else math.nan
+        for q, y, _missing in self.scores(params):
+            total += cost(y, q.target, kind)[0] if math.isfinite(y) else math.nan
         return total
 
     def _share(self) -> tuple:
-        """The queried examples' networks merged once: (network, (target,
+        """The queried examples' networks merged once: (network, (query,
         merged id or None) per query, per example None if unqueried, else
         (its merged ids sorted, the merged id of each of its neurons))."""
         if self._shared is None:
@@ -207,12 +200,19 @@ class CompiledTask:
                 parts[i] = (sorted(set(ids)), ids)
                 for q in self.queries[i]:
                     nid = self.nets[i].outputs.get(q.atom)
-                    rows.append((q.target, None if nid is None else ids[nid]))
+                    rows.append((q, None if nid is None else ids[nid]))
             self._shared = (shared, rows, parts)
         return self._shared
 
     def scores(self, params) -> list:
-        """(query, score, missing) for every query, input order."""
+        """(query, score, missing) for every query, in example order: one
+        `forward` over the task's merge once training has built it, else
+        one per queried example.  A merged score differs from its example's
+        own at most in the sign of a zero, which no cost tells apart."""
+        if self._shared is not None:
+            net, rows, _parts = self._shared
+            values = forward(net, params, self.task.family).values
+            return [(q, 0.0, True) if nid is None else (q, values[nid], False) for q, nid in rows]
         out = []
         for net, queries in zip(self.nets, self.queries):
             if not queries:
@@ -230,12 +230,12 @@ def sgd_epoch(compiled: CompiledTask, params, learnable, rng, epoch: int = 0) ->
     `forward` over the example's merged ids in the task's merge (built
     on the first step and kept with the task) and `backward` over the
     example's network itself: a merged twin's value differs at most in
-    the sign of a zero, which no gradient tells apart."""
-    if not learnable:  # no gradient would be applied
-        return compiled.total_cost(params)
+    the sign of a zero, which no gradient tells apart.  The steps share
+    one buffer per epoch: a step writes each slot it reads but the facts'."""
     task = compiled.task
     cfg = task.config
     shared, _rows, parts = compiled._share()
+    buffer = [1.0] * len(shared.neurons)
     order = list(range(len(compiled.nets)))
     rng.shuffle(order)
     lr, pv = cfg.learning_rate, params.values
@@ -244,7 +244,7 @@ def sgd_epoch(compiled: CompiledTask, params, learnable, rng, epoch: int = 0) ->
         if not queries:
             continue
         net, (ids, index) = compiled.nets[idx], parts[idx]
-        vm = forward(shared, params, task.family, ids)
+        vm = forward(shared, params, task.family, ids, buffer)
         vm.values = list(map(vm.values.__getitem__, index))  # each neuron's merged twin
         query_grads = {}
         for q in queries:
@@ -273,6 +273,8 @@ def train(task: TrainingTask, compiled: CompiledTask | None = None) -> tuple:
         raise ValueError("train: `compiled` was built from another task")
     learnable = compiled.learnable()
     cfg = task.config
+    # With nothing learnable every epoch of every restart prices the template's store.
+    fixed = None if learnable else compiled.total_cost(task.template.params)
     report = TrainReport()
     best = None
     for restart in range(cfg.restarts):
@@ -282,7 +284,7 @@ def train(task: TrainingTask, compiled: CompiledTask | None = None) -> tuple:
         final = None
         try:
             for epoch in range(cfg.epochs):
-                final = sgd_epoch(compiled, params, learnable, rng, epoch)
+                final = sgd_epoch(compiled, params, learnable, rng, epoch) if learnable else fixed
                 report.curves.append((restart, epoch, final))
         except DivergenceError as err:
             report.skipped.append((restart, str(err)))

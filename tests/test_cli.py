@@ -444,6 +444,22 @@ def test_capacity_counts_rule_instances_exits_4(tmp_path, capsys, monkeypatch):
     assert "model atoms plus rule instances" in capsys.readouterr().err
 
 
+def test_capacity_counts_join_substitutions_exits_4(tmp_path, capsys, monkeypatch):
+    # p(X), q(Y) share no variable: a million substitutions before r(X,Y)
+    # keeps one, while the model holds 2,002 atoms and one instance.
+    template = tmp_path / "cross.lrnn"
+    template.write_text("0.5 :: h :- p(X), q(Y), r(X,Y).\n", encoding="utf-8")
+    examples = tmp_path / "facts.lrnn"
+    examples.write_text("#example x\n" + "".join(f"1.0 :: {pred}(c{i}).\n" for pred in "pq"
+                                                  for i in range(1000))
+                        + "1.0 :: r(c0,c1).\n", encoding="utf-8")
+    monkeypatch.setenv("LRNN_CAPACITY", "10000")
+    rc = main(["ground", "--template", str(template), "--examples", str(examples),
+               "--out", str(tmp_path / "o")])
+    assert rc == 4
+    assert "budget of 10000 substitutions in one join step" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["ground", "train"])
 def test_capacity_counts_network_neurons_exits_4(tmp_path, capsys, monkeypatch, command):
     # Model atoms plus instances: e(a), p(a) and one instance = 3.  Neurons:

@@ -359,3 +359,17 @@ def test_capacity_counts_model_atoms_plus_instances():
     assert len(ground(t, facts, capacity=8800).instances) == 8000
     with pytest.raises(CapacityError):
         ground(t, facts, capacity=8799)
+
+
+def test_capacity_bounds_each_join_step_before_the_last():
+    # p(X), q(Y) share no variable: 200 x 200 substitutions before r(X,Y)
+    # keeps one of them.  Model atoms plus instances stay at 403.
+    t = parse_template("0.5 :: h :- p(X), q(Y), r(X,Y).", "src")
+    facts = tuple((1.0, _atom(pred, f"c{i}")) for pred in "pq" for i in range(200))
+    facts += ((1.0, _atom("r", "c0", "c1")),)
+    for run in (ground, least_herbrand_model):
+        with pytest.raises(CapacityError) as exc:
+            run(t, facts, capacity=39_999)
+        assert (exc.value.cap, exc.value.count) == (39_999, 40_000)
+        assert "substitutions in one join step" in str(exc.value)
+    assert len(ground(t, facts, capacity=40_000).instances) == 1

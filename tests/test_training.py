@@ -577,8 +577,10 @@ def test_total_cost_is_per_example_sum_on_fixtures(name, family):
             if merged:
                 compiled._share()
             for _ in range(2):
-                got, want = _cost_bits(compiled, randomize_params(template, rng))
+                params = randomize_params(template, rng)
+                got, want = _cost_bits(compiled, params)
                 assert got == want, kind
+                assert compiled.scores(params) == CompiledTask(task).scores(params)
             assert (compiled._shared is not None) == merged
 
 
@@ -600,8 +602,10 @@ def test_total_cost_is_per_example_sum_on_drawn_programs(family, rng, weighted_f
         if merged:
             compiled._share()
         for _ in range(2):
-            got, want = _cost_bits(compiled, randomize_params(template, rng))
+            params = randomize_params(template, rng)
+            got, want = _cost_bits(compiled, params)
             assert got == want
+            assert compiled.scores(params) == CompiledTask(task).scores(params)
 
 
 def test_renamed_constants_add_no_shared_neuron():
@@ -637,6 +641,8 @@ def test_signed_zero_fact_weights_cost_the_same(family):
                 compiled._share()
             got, want = _cost_bits(compiled, template.params)
             assert got == want, kind
+            assert compiled.scores(template.params) == CompiledTask(compiled.task).scores(
+                template.params)
         assert len(compiled._shared[0].neurons) == len(compiled.nets[0].neurons)
 
 
@@ -697,6 +703,31 @@ def test_signed_zero_facts_train_the_same_with_and_without_compaction(monkeypatc
         assert flipped  # the case does show a zero whose sign the merge flips
 
 
+def test_one_value_buffer_per_epoch_trains_bit_identically(monkeypatch):
+    # Every fact weighted apart: no two networks share a neuron but the
+    # facts', so the epoch's buffer holds other examples' stale values.
+    # A step must write every slot it reads but the facts': a fresh
+    # buffer of NaN in every other slot trains to the same bits.
+    template = load_template("explosives")
+    examples, queries = make_bond_dataset(8, seed=6)
+    weights = iter(range(1, 10**6))
+    examples = [Example(ex.example_id, tuple((next(weights) / 64, atom) for _w, atom in ex.facts))
+                for ex in examples]
+    cfg = TrainConfig(learning_rate=2.0, epochs=3, restarts=2, seed=1)
+    task = TrainingTask(template, examples, queries, cfg, "ms")
+    want = _train_bits(task, monkeypatch, False)
+    real = training.forward
+
+    def poisoned(net, params, family, ids=None, values=None):
+        if values is not None:
+            values = [1.0 if n.kind == network.FACT else math.nan for n in net.neurons]
+        return real(net, params, family, ids, values)
+
+    monkeypatch.setattr(training, "forward", poisoned)
+    assert _train_bits(task, monkeypatch, False) == want
+    assert _train_bits(task, monkeypatch, True) == want
+
+
 def _count_merges(monkeypatch):
     """The networks passed to each merge a task makes."""
     merged = []
@@ -745,9 +776,14 @@ def test_scores_never_compact(monkeypatch):
     examples, queries = make_bond_dataset(6, seed=1)
     merged = _count_merges(monkeypatch)
     compiled = CompiledTask(TrainingTask(template, examples, queries, TrainConfig(), "ms"))
-    compiled.scores(compiled.initial_params(3))
-    assert merged == []
+    forwards = _count_calls(monkeypatch, "forward")
+    params = compiled.initial_params(3)
+    compiled.scores(params)
+    assert (merged, len(forwards)) == ([], len(examples))
     assert compiled._shared is None
+    compiled._share()  # once a merge exists, one forward over it
+    compiled.scores(params)
+    assert (len(merged), len(forwards)) == (1, len(examples) + 1)
 
 
 def _count_reverse_orders(monkeypatch):
@@ -880,12 +916,39 @@ def test_nothing_learnable_skips_the_online_step(monkeypatch):
         runs.append((params, report, len(forwards), len(backwards), len(merges)))
         monkeypatch.undo()
     (skipped, report, forwards, backwards, merges), (full, full_report, full_forwards, _, _) = runs
-    # Without an online step nothing is merged, and every epoch's cost
-    # is priced per example.
-    assert (forwards, backwards, merges) == (len(examples) * 3 * 2, 0, 0)
+    # Without an online step nothing is merged, and the task is priced
+    # once, one forward per queried example, for every epoch and restart.
+    assert (forwards, backwards, merges) == (len(examples), 0, 0)
     assert full_forwards == len(examples) * 3 * 2 + 3 * 2
     assert skipped == full == template.params
     assert report.jsonl() == full_report.jsonl()
+
+
+def test_nothing_learnable_with_an_infinite_score_fails_every_restart(monkeypatch):
+    # Two facts on one atom sum past the float range; no clause is learnable.
+    template = parse_template("", "t")
+    examples = [Example("x", ((1e308, _atom("p", "a")), (1e308, _atom("p", "a"))))]
+    task = TrainingTask(template, examples, [QueryRow("x", _atom("p", "a"), 1.0)],
+                        TrainConfig(epochs=2, restarts=3), "ms")
+    compiled = CompiledTask(task)
+    assert compiled.learnable() == frozenset()
+    assert compiled.scores(template.params)[0][1] == math.inf
+    reports = []
+
+    class RecordedReport(training.TrainReport):
+        def __init__(self):
+            super().__init__()
+            reports.append(self)
+
+    monkeypatch.setattr(training, "TrainReport", RecordedReport)
+    with pytest.raises(AllRestartsFailedError):
+        train(task, compiled)
+    (report,) = reports
+    assert [(r, e) for r, e, _cost in report.curves] == [(r, e) for r in range(3) for e in range(2)]
+    assert all(math.isnan(c) for _r, _e, c in report.curves)
+    assert [r for r, _reason in report.skipped] == [0, 1, 2]
+    assert all("not finite" in reason for _r, reason in report.skipped)
+    assert report.finals == []
 
 
 def test_latent_rule_is_learnable_on_small_sample():
