@@ -105,20 +105,19 @@ def _index(indexes: dict, sig, key_pos: tuple, source) -> dict:
     return index
 
 
-def _join(rule: _Rule, relations, indexes: dict, capacity: int) -> list:
-    """All substitutions satisfying the body.  indexes is the cache of
-    relation indexes, valid while the body relations stay unchanged.
-    CapacityError once a step before the last body atom holds more than
-    capacity substitutions; the last step's become matches, which
-    `ground` charges."""
+def _join(rule: _Rule, relations, indexes: dict, capacity: int):
+    """Yield every substitution satisfying the body.  indexes is the
+    cache of relation indexes, valid while the body relations stay
+    unchanged.  CapacityError once a step before the last body atom holds
+    more than capacity substitutions; the last step's are yielded one at
+    a time as matches, which `ground` charges, so a budget stops it early."""
     substs = [{}]
     last = len(rule.body) - 1
     for step, (sig, key_pos, key_pat, free) in enumerate(rule.body):
         source = relations.get(sig, ())
         if not source:
-            return []
+            return
         index = _index(indexes, sig, key_pos, source) if key_pos else None
-        bound = capacity if step < last else float("inf")
         extended = []
         for subst in substs:
             if index is None:
@@ -128,16 +127,19 @@ def _join(rule: _Rule, relations, indexes: dict, capacity: int) -> list:
                                         for kind, name in key_pat]), ())
             for row in rows:
                 got = _bind(free, row, subst)
-                if got is not None:
+                if got is None:
+                    continue
+                if step == last:
+                    yield got
+                else:
                     extended.append(got)
             # One substitution adds at most one relation's rows, which
             # the model's budget already bounds.
-            if len(extended) > bound:
+            if len(extended) > capacity:
                 raise CapacityError(len(extended), capacity, "substitutions in one join step")
         if not extended:
-            return []
+            return
         substs = extended
-    return substs
 
 
 def _head_expansions(rule: _Rule, subst, universe):

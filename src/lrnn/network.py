@@ -193,6 +193,13 @@ def _reverse_order(net: GroundNetwork) -> list:
     return list(compress(range(len(live) - 1, -1, -1), reversed(live)))
 
 
+def _cone(net: GroundNetwork) -> list:
+    """The network's `_reverse_order`, built on first use and kept."""
+    if net._reverse is None:
+        net._reverse = _reverse_order(net)
+    return net._reverse
+
+
 def backward(net: GroundNetwork, vm: ValueMap, query_grads: dict, params) -> dict:
     """Reverse sweep; returns parameter id -> accumulated gradient.
 
@@ -207,10 +214,8 @@ def backward(net: GroundNetwork, vm: ValueMap, query_grads: dict, params) -> dic
         nid = net.outputs.get(atom)
         if nid is not None:
             adjoint[nid] += g
-    if net._reverse is None:
-        net._reverse = _reverse_order(net)
     grads = {}
-    for nid in net._reverse:
+    for nid in _cone(net):
         neuron = neurons[nid]
         kind, g = neuron.kind, adjoint[nid]
         if g == 0.0:

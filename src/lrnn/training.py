@@ -3,28 +3,37 @@ passes of `network`.
 
 Updates are online: after each example's queries are backpropagated,
 weights move at once by w <- w - lr * grad, written straight into the
-store's values.  The first online step merges the queried examples'
-networks; each step runs `forward` over one example's part of the merge
-and `backward` over its own network, in its cone order.  The epoch cost
-sums `CompiledTask.scores`; with nothing learnable `train` prices the
-task once for every epoch.  Restarts redraw the learnable weights from
-Uniform(init_range) with seeds derived from the master seed, and the
-restart with the lowest final training cost wins; a restart whose
-parameters, final cost or final scores go non-finite is skipped and
-noted in the report.
+store's values.  The first online step (or `train`, before it forks)
+merges the queried examples' networks; each step runs `forward` over
+one example's part of the merge and `backward` over its own network, in
+its cone order.  The epoch cost sums `CompiledTask.scores`; with nothing
+learnable `train` prices the task once for every epoch.  Restarts
+redraw the learnable weights from Uniform(init_range) with seeds derived
+from the master seed, and the restart with the lowest final training
+cost wins; a restart whose parameters, final cost or final scores go
+non-finite is skipped and noted in the report.
+
+A restart depends only on its seed, so `train` deals the restarts of a
+task with something learnable to as many processes as it has CPUs, on
+forked copies of the compiled task (where it can fork and no other
+thread runs), and merges their outcomes in restart order: the same
+bytes on any number of CPUs.
 """
 
 import hashlib
 import json
+import marshal
 import math
+import os
 import random
+import sys
 from dataclasses import dataclass, field
 
 from .activations import CONJUNCTION, operations, sigmoid
 from .errors import AllRestartsFailedError, DivergenceError
 from .grounding import DEFAULT_CAPACITY, ground
 from .logic import ParameterStore, QueryRow, Template
-from .network import backward, build, forward, merge
+from .network import _cone, backward, build, forward, merge
 
 SQUARED_SIGMOID = "squared_sigmoid"
 CROSS_ENTROPY = "cross_entropy"
@@ -139,7 +148,8 @@ def compile_networks(template: Template, examples, capacity: int = DEFAULT_CAPAC
 
 class CompiledTask:
     """One network per example, reused across epochs and restarts, and
-    from the first online step on, one merge of the queried ones.
+    from the first online step on, or before `train` forks, one merge of
+    the queried ones.
 
     `nets` (example id -> network, as from `compile_networks`) lets tasks
     over the same examples share networks; without it the task's
@@ -265,9 +275,74 @@ def sgd_epoch(compiled: CompiledTask, params, learnable, rng, epoch: int = 0) ->
     return compiled.total_cost(params)
 
 
+def _process_count() -> int:
+    """CPUs this process may run restarts on; 1 without `os.fork` or
+    while another thread runs, since a forked threaded process can deadlock."""
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or (threading and threading.active_count() > 1):
+        return 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _outcomes(restart, group) -> tuple:
+    """(True, the group's outcomes), or (False, the exception one raised
+    and its traceback, pickled)."""
+    try:
+        return True, [restart(r) for r in group]
+    except Exception as err:
+        import pickle  # only a failing child pays for these imports
+        import traceback
+        return False, pickle.dumps((err, traceback.format_exc()))
+
+
+def _forked(restart, restarts: int, processes: int) -> list:
+    """`[restart(r) for r in range(restarts)]`, dealt round robin to
+    `processes` groups: this process runs group 0 and forks a child per
+    other group.  A child sends back marshal(`_outcomes`) and ends with
+    `os._exit`; its exception is raised here.  No child outlives the call."""
+    import signal  # only a forking call pays for the import
+    outcomes, reads, pids = [None] * restarts, [], []
+    try:
+        for group in range(1, processes):
+            read, write = os.pipe()
+            reads.append(read)
+            with open(write, "wb") as out:  # the parent's end closes after the fork
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        out.write(marshal.dumps(_outcomes(restart, range(group, restarts, processes))))
+                        out.flush()
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+                pids.append(pid)
+        outcomes[::processes] = [restart(r) for r in range(0, restarts, processes)]
+        for group, read in enumerate(reads, 1):
+            with open(read, "rb", closefd=False) as pipe:
+                reply = pipe.read()
+            if not reply:
+                lost = list(range(group, restarts, processes))
+                raise RuntimeError(f"the process running restarts {lost} ended without a reply")
+            ok, payload = marshal.loads(reply)
+            if not ok:
+                import pickle
+                err, trace = pickle.loads(payload)
+                raise err from RuntimeError(f"raised in a forked process:\n{trace}")
+            outcomes[group::processes] = payload
+        return outcomes
+    finally:
+        for read in reads:
+            os.close(read)
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)  # a child that has replied is already ending
+            os.waitpid(pid, 0)
+
+
 def train(task: TrainingTask, compiled: CompiledTask | None = None) -> tuple:
     """Run all restarts; return (best ParameterStore, TrainReport).
-    ValueError when `compiled` was built from another task."""
+    ValueError when `compiled` was built from another task.  With
+    something learnable the restarts run on up to `_process_count()`
+    processes, with the same result on any number."""
     compiled = compiled or CompiledTask(task)
     if compiled.task is not task:
         raise ValueError("train: `compiled` was built from another task")
@@ -275,30 +350,43 @@ def train(task: TrainingTask, compiled: CompiledTask | None = None) -> tuple:
     cfg = task.config
     # With nothing learnable every epoch of every restart prices the template's store.
     fixed = None if learnable else compiled.total_cost(task.template.params)
-    report = TrainReport()
-    best = None
-    for restart in range(cfg.restarts):
-        seed = derive_seed(cfg.seed, "restart", restart)
+
+    def restart(r) -> tuple:
+        """(epoch costs, final cost or why it is skipped, parameter values or None)."""
+        seed = derive_seed(cfg.seed, "restart", r)
         params = compiled.initial_params(seed)
         rng = random.Random(derive_seed(seed, "shuffle"))
-        final = None
+        costs = []
         try:
             for epoch in range(cfg.epochs):
-                final = sgd_epoch(compiled, params, learnable, rng, epoch) if learnable else fixed
-                report.curves.append((restart, epoch, final))
+                costs.append(sgd_epoch(compiled, params, learnable, rng, epoch) if learnable else fixed)
         except DivergenceError as err:
-            report.skipped.append((restart, str(err)))
+            return costs, str(err), None
+        if not math.isfinite(costs[-1]):
+            return costs, f"final cost {costs[-1]!r} is not finite", None
+        return costs, costs[-1], params.values
+
+    processes = min(_process_count(), cfg.restarts) if learnable else 1
+    if processes > 1:  # the children share the merge and the cone orders copy-on-write
+        compiled._share()
+        for net in (net for net, queries in zip(compiled.nets, compiled.queries) if queries):
+            _cone(net)
+        outcomes = _forked(restart, cfg.restarts, processes)
+    else:
+        outcomes = [restart(r) for r in range(cfg.restarts)]
+    report, best = TrainReport(), None
+    for r, (costs, final, values) in enumerate(outcomes):
+        report.curves += [(r, epoch, c) for epoch, c in enumerate(costs)]
+        if isinstance(final, str):
+            report.skipped.append((r, final))
             continue
-        if not math.isfinite(final):
-            report.skipped.append((restart, f"final cost {final!r} is not finite"))
-            continue
-        report.finals.append((restart, final))
+        report.finals.append((r, final))
         if best is None or final < best[0]:
-            best = (final, restart, params.copy())
+            best = (final, r, values)
     if best is None:
         raise AllRestartsFailedError("all restarts diverged")
     report.best_restart = best[1]
-    return best[2], report
+    return ParameterStore(best[2], task.template.params.learnable), report
 
 
 def zero_one_error(pairs) -> float:

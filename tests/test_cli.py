@@ -8,7 +8,7 @@ import pytest
 
 from lrnn import (Atom, CompiledTask, Example, QueryRow, TrainingTask, crossvalidate,
                   make_folds, parse_params, render_params)
-from lrnn import cli, network, training
+from lrnn import cli, grounding, network, training
 from lrnn.cli import main
 from lrnn.errors import ParseError
 from lrnn.fixtures import fixture_dir, fixture_text
@@ -458,6 +458,32 @@ def test_capacity_counts_join_substitutions_exits_4(tmp_path, capsys, monkeypatc
                "--out", str(tmp_path / "o")])
     assert rc == 4
     assert "budget of 10000 substitutions in one join step" in capsys.readouterr().err
+
+
+def test_capacity_stops_the_last_join_step_early_exits_4(tmp_path, capsys, monkeypatch):
+    # h :- p(X), q(Y) matches a million times.  Each match is charged as
+    # it is found, so the join stops when the budget runs out, after
+    # about 8,000 matches, not after a million.
+    template = tmp_path / "cross.lrnn"
+    template.write_text("0.5 :: h :- p(X), q(Y).\n", encoding="utf-8")
+    examples = tmp_path / "facts.lrnn"
+    examples.write_text("#example x\n" + "".join(f"1.0 :: {pred}(c{i}).\n" for pred in "pq"
+                                                  for i in range(1000)), encoding="utf-8")
+    binds = []
+    real_bind = grounding._bind
+
+    def counting_bind(free, row, subst):
+        binds.append(1)
+        return real_bind(free, row, subst)
+
+    monkeypatch.setattr(grounding, "_bind", counting_bind)
+    monkeypatch.setenv("LRNN_CAPACITY", "10000")
+    rc = main(["ground", "--template", str(template), "--examples", str(examples),
+               "--out", str(tmp_path / "o")])
+    assert rc == 4
+    assert ("budget of 10000 model atoms plus rule instances (reached 10001)"
+            in capsys.readouterr().err)
+    assert len(binds) < 10_000
 
 
 @pytest.mark.parametrize("command", ["ground", "train"])

@@ -2,7 +2,9 @@
 
 import json
 import math
+import os
 import random
+import threading
 
 import pytest
 from hypothesis import assume, given
@@ -333,42 +335,64 @@ def test_all_restarts_failed(monkeypatch):
         train(task)
 
 
+def _pin_processes(monkeypatch, processes):
+    """Run `train`'s restarts on this many processes; 1 keeps them in this one."""
+    monkeypatch.setattr(training, "_process_count", lambda: processes)
+
+
+def _restart_stores(monkeypatch, task, restart):
+    """The stores one restart draws in this process, found by its seed."""
+    seed, drawn = derive_seed(task.config.seed, "restart", restart), []
+    real = CompiledTask.initial_params
+
+    def marking(self, restart_seed):
+        params = real(self, restart_seed)
+        if restart_seed == seed:
+            drawn.append(params)
+        return params
+
+    monkeypatch.setattr(CompiledTask, "initial_params", marking)
+    return drawn
+
+
 def test_partial_restart_failure_is_skipped(monkeypatch):
     task = _tiny_task(restarts=3, epochs=3, seed=5)
     original = CompiledTask.initial_params
-    calls = []
+    first = derive_seed(task.config.seed, "restart", 0)
 
     def first_poisoned(self, restart_seed):
         params = original(self, restart_seed)
-        calls.append(restart_seed)
-        if len(calls) == 1:
+        if restart_seed == first:
             for pid in params.learnable:
                 params[pid] = float("nan")
         return params
 
     monkeypatch.setattr(CompiledTask, "initial_params", first_poisoned)
-    params, report = train(task)
-    assert [r for r, _reason in report.skipped] == [0]
-    assert {r for r, _ in report.finals} == {1, 2}
-    assert report.best_restart in (1, 2)
+    for processes in (1, 3):  # in this process, then on forked children
+        _pin_processes(monkeypatch, processes)
+        params, report = train(task)
+        assert [r for r, _reason in report.skipped] == [0]
+        assert {r for r, _ in report.finals} == {1, 2}
+        assert report.best_restart in (1, 2)
 
 
 def test_non_finite_final_cost_restart_is_skipped(monkeypatch):
     task = _tiny_task(restarts=3, epochs=2, seed=5)
+    drawn = _restart_stores(monkeypatch, task, 0)
     real_epoch = training.sgd_epoch
-    calls = []
 
-    def nan_first_restart(*args, **kwargs):
-        calls.append(1)
-        final = real_epoch(*args, **kwargs)
-        return math.nan if len(calls) <= 2 else final
+    def nan_first_restart(compiled, params, *args, **kwargs):
+        final = real_epoch(compiled, params, *args, **kwargs)
+        return math.nan if any(params is p for p in drawn) else final
 
     monkeypatch.setattr(training, "sgd_epoch", nan_first_restart)
-    _params, report = train(task)
-    assert [r for r, _reason in report.skipped] == [0]
-    assert "not finite" in report.skipped[0][1]
-    assert {r for r, _ in report.finals} == {1, 2}
-    assert report.best_restart in (1, 2)
+    for processes in (1, 3):  # in this process, then on forked children
+        _pin_processes(monkeypatch, processes)
+        _params, report = train(task)
+        assert [r for r, _reason in report.skipped] == [0]
+        assert "not finite" in report.skipped[0][1]
+        assert {r for r, _ in report.finals} == {1, 2}
+        assert report.best_restart in (1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +563,9 @@ def test_crossvalidate_grounds_each_example_once(monkeypatch):
 
 def test_crossvalidate_ranks_by_reported_final_cost(monkeypatch):
     # Every cost pass belongs to an SGD epoch; grid points are ranked by
-    # the final cost train() reported, not by one more pass.
+    # the final cost train() reported, not by one more pass.  Calls are
+    # counted in this process, so every restart runs here.
+    _pin_processes(monkeypatch, 1)
     template = load_template("explosives")
     examples, queries = make_bond_dataset(10, seed=0)
     calls = []
@@ -800,6 +826,7 @@ def _count_reverse_orders(monkeypatch):
 
 
 def test_train_builds_each_reverse_order_once(monkeypatch):
+    _pin_processes(monkeypatch, 1)  # builds and calls are counted in this process
     template = load_template("explosives")
     examples, queries = make_bond_dataset(6, seed=2)
     queries = [q for q in queries if q.example_id != examples[0].example_id]
@@ -882,6 +909,7 @@ def _count_calls(monkeypatch, name):
 
 
 def test_train_forward_calls_per_epoch_and_restart(monkeypatch):
+    _pin_processes(monkeypatch, 1)  # calls are counted in this process
     template = load_template("explosives")
     examples, queries = make_bond_dataset(6, seed=2)
     queries = [q for q in queries if q.example_id != examples[0].example_id]
@@ -907,6 +935,7 @@ def test_nothing_learnable_skips_the_online_step(monkeypatch):
         task = TrainingTask(template, examples, queries, cfg, "godel")
         compiled = CompiledTask(task)
         assert compiled.learnable() == frozenset()
+        _pin_processes(monkeypatch, 1)  # calls are counted in this process
         if patched:  # a pid no gradient names: the online step runs, moves nothing
             monkeypatch.setattr(compiled, "learnable", lambda: frozenset({"no such pid"}))
         forwards = _count_calls(monkeypatch, "forward")
@@ -960,3 +989,153 @@ def test_latent_rule_is_learnable_on_small_sample():
     params, _ = train(task, compiled)
     pairs = [(score, q.target) for q, score, _ in compiled.scores(params)]
     assert zero_one_error(pairs) <= 0.05
+
+
+# ---------------------------------------------------------------------------
+# Restarts on forked processes
+
+
+def _count_forks(monkeypatch):
+    """The children forked from this process."""
+    forks = []
+    real = os.fork
+
+    def counting():
+        pid = real()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return forks
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _trained_bits(task, compiled=None):
+    """`train`'s parameters (ids in order, values as float.hex), their
+    learnable set and its JSONL report, or the error it raised."""
+    try:
+        params, report = train(task, compiled)
+    except AllRestartsFailedError as err:
+        return repr(err)
+    return [(pid, params[pid].hex()) for pid in params], params.learnable, report.jsonl()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("name", fixture_names())
+def test_forked_restarts_equal_in_process_on_fixtures(monkeypatch, name, family):
+    template = load_template(name, family)
+    examples, queries = load_examples(name), load_queries(name)
+    cfg = TrainConfig(learning_rate=2.0, epochs=3, restarts=3, seed=7)
+    forks = _count_forks(monkeypatch)
+    runs = []
+    for processes in (1, 2, 3):
+        _pin_processes(monkeypatch, processes)
+        task = TrainingTask(template, examples, queries, cfg, family)
+        runs.append(_trained_bits(task))
+        _no_child_left()
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    assert len(forks) == (1 + 2 if CompiledTask(task).learnable() else 0)
+
+
+def test_forked_restarts_equal_in_process_when_restarts_fail(monkeypatch):
+    # Under avg-sigmoid this learning rate takes t:0:conj past the float
+    # range in restarts 1 and 2; restart 3's epoch costs are made NaN, so
+    # its final cost is not finite.  Example c has no query.
+    template = parse_template("? :: q(X) :- e(X).\n? :: p :- q(X).\n", "t")
+    examples = parse_examples("#example a\n1e150 :: e(x).\n"
+                              "#example b\n3.0 :: e(x).\n2.0 :: e(y).\n"
+                              "#example c\n1.0 :: e(z).\n")
+    queries = [QueryRow("a", _atom("p"), 1.0), QueryRow("b", _atom("p"), 0.0),
+               QueryRow("b", _atom("q", "y"), 1.0)]
+    cfg = TrainConfig(learning_rate=1e200, epochs=5, restarts=4, seed=0,
+                      cost_kind="cross_entropy")
+    drawn = _restart_stores(monkeypatch, TrainingTask(template, examples, queries, cfg), 3)
+    real_epoch = training.sgd_epoch
+
+    def nan_restart_3(compiled, params, *args):
+        final = real_epoch(compiled, params, *args)
+        return math.nan if any(params is p for p in drawn) else final
+
+    monkeypatch.setattr(training, "sgd_epoch", nan_restart_3)
+    merges = _count_merges(monkeypatch)
+    forks = _count_forks(monkeypatch)
+    runs = []
+    for processes in (1, 2, 3, 4):
+        _pin_processes(monkeypatch, processes)
+        task = TrainingTask(template, examples, queries, cfg, "as")
+        compiled = CompiledTask(task)
+        runs.append(_trained_bits(task, compiled))
+        _no_child_left()
+        assert compiled.nets[2]._reverse is None
+    assert all(run == runs[0] for run in runs)
+    assert (len(merges), len(forks)) == (4, 1 + 2 + 3)
+    lines = [json.loads(line) for line in runs[0][2].splitlines()]
+    skipped = {line["restart"]: line["reason"] for line in lines if "status" in line}
+    assert sorted(skipped) == [1, 2, 3]
+    assert "became non-finite" in skipped[1] and "became non-finite" in skipped[2]
+    assert skipped[3] == "final cost nan is not finite"
+    assert lines[-1]["best_restart"] == 0
+
+
+def _raise_value_error():
+    raise ValueError("a restart failed")
+
+
+def _end_the_process():
+    os._exit(7)
+
+
+@pytest.mark.parametrize("restart, fail, error, match", [
+    (1, _raise_value_error, ValueError, "a restart failed"),  # in a child
+    (1, _end_the_process, RuntimeError, r"restarts \[1\] ended without a reply"),
+    (0, _raise_value_error, ValueError, "a restart failed"),  # here, while children run
+])
+def test_a_failed_restart_is_raised_and_no_child_is_left(monkeypatch, restart, fail, error,
+                                                          match):
+    task = _tiny_task(restarts=3, epochs=2, seed=5)
+    _pin_processes(monkeypatch, 3)
+    drawn = _restart_stores(monkeypatch, task, restart)
+    real_epoch, parent = training.sgd_epoch, os.getpid()
+
+    def failing(compiled, params, *args):
+        if any(params is p for p in drawn):
+            assert fail is _raise_value_error or os.getpid() != parent
+            fail()
+        return real_epoch(compiled, params, *args)
+
+    monkeypatch.setattr(training, "sgd_epoch", failing)
+    forks = _count_forks(monkeypatch)
+    with pytest.raises(error, match=match) as exc:
+        train(task)
+    if restart == 1 and error is ValueError:  # the child's traceback is the cause
+        assert "in failing" in str(exc.value.__cause__)
+    assert len(forks) == 2
+    _no_child_left()
+
+
+def test_train_forks_nothing_while_another_thread_runs(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert training._process_count() == 3
+    task = _tiny_task(restarts=3, epochs=2)
+    forks = _count_forks(monkeypatch)
+    alone = _trained_bits(task)
+    assert len(forks) == 2
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert training._process_count() == 1
+        assert _trained_bits(task) == alone
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert len(forks) == 2
+    monkeypatch.delattr(os, "fork")
+    assert training._process_count() == 1
