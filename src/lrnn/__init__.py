@@ -16,7 +16,7 @@ from .logic import (Atom, Constant, Example, ParameterStore, QueryRow, Template,
                     Variable, WeightedClause, check_nonrecursive, make_template,
                     parse_examples, parse_params, parse_queries, parse_template,
                     render_clause, render_examples, render_params, render_template)
-from .network import GroundNetwork, Neuron, ValueMap, backward, build, export_dot, forward
+from .network import GroundNetwork, Neuron, ValueMap, backward, build, census, export_dot, forward
 from .training import (CompiledTask, TrainConfig, TrainingTask, TrainReport, compile_networks,
                        cost, crossvalidate, derive_seed, ground_networks, make_folds,
                        sgd_epoch, train, zero_one_error)

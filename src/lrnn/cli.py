@@ -26,9 +26,9 @@ from pathlib import Path
 
 from .activations import FAMILIES, MAX_SIGMOID
 from .errors import CapacityError, LrnnError, ParseError, RecursiveTemplateError
-from .grounding import DEFAULT_CAPACITY
+from .grounding import DEFAULT_CAPACITY, ground
 from .logic import parse_examples, parse_params, parse_queries, parse_template, render_params
-from .network import export_dot
+from .network import census, export_dot
 from .training import (COST_KINDS, SQUARED_SIGMOID, CompiledTask, TrainConfig, TrainingTask,
                        crossvalidate, ground_networks, train, zero_one_error)
 
@@ -83,13 +83,16 @@ def cmd_ground(args) -> int:
     template, examples = _load_inputs(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    instance_rows, stat_rows = [], []
-    for ex, grounding, net in ground_networks(template, examples, _capacity()):
+    capacity, instance_rows, stat_rows = _capacity(), [], []
+    for ex in examples:
+        grounding = ground(template, ex.facts, capacity)
+        # Each atom rendered once: the instances hold the model's own atoms.
+        texts = {id(atom): str(atom) for atom in grounding.model.atoms}
         for inst in grounding.instances:
             theta = " ".join(f"{v}={c}" for v, c in inst.theta)
-            body = ", ".join(str(b) for b in inst.body)
-            instance_rows.append([ex.example_id, inst.clause_id, theta, str(inst.head), body])
-        stat_rows.append([ex.example_id, *net.counts()])
+            body = ", ".join([texts[id(b)] for b in inst.body])
+            instance_rows.append([ex.example_id, inst.clause_id, theta, texts[id(inst.head)], body])
+        stat_rows.append([ex.example_id, *census(grounding, capacity)])
     _write_csv(out / "instances.csv",
                ["example_id", "clause_id", "substitution", "head", "body"], instance_rows)
     _write_csv(out / "stats.csv",

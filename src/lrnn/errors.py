@@ -8,6 +8,11 @@ catch one family of exceptions instead of chasing module internals.
 class LrnnError(Exception):
     """Base class for all package errors."""
 
+    def __reduce__(self):
+        # Rebuild from the message and the attributes, without calling
+        # `__init__`, whose arguments a subclass formats into the message.
+        return type(self).__new__, (type(self), *self.args), self.__dict__
+
 
 class ParseError(LrnnError):
     """Malformed template/example/query/parameter text.

@@ -34,8 +34,8 @@ argument names).
 One budget, `capacity`, bounds the grounding work: the model may hold
 at most that many atoms, model atoms plus distinct rule instances may
 not exceed it either, and neither may the substitutions of a join step
-before a body's last atom.  `network.build` bounds each example's
-neurons by the same budget.
+before a body's last atom.  `network.build` and `network.census` bound
+each example's neurons by the same budget.
 """
 
 import itertools

@@ -18,11 +18,13 @@ Four neuron kinds, wired bottom-up:
 Rule and aggregation edges have unit weight and store none.  An atom
 edge's weight is a parameter id (`str`) or a fixed number (`float`).  A
 shared parameter appears at most once on any simple path, so accumulated
-gradients stay exact.  `build` counts an example's neurons before
-allocating any, and raises CapacityError when they exceed the grounding
-budget.  Neuron order is topological and deterministic: facts first,
-then predicates from the leaves of the template dependency order upward,
-atoms sorted within a predicate.
+gradients stay exact.  One layout step, shared by `build` and `census`,
+groups an example's instances by head and clause and counts its neurons
+from the grounding before any neuron exists, raising CapacityError when
+they exceed the grounding budget; `census` (the `ground` command's
+stats) stops there.  Neuron order is topological and deterministic:
+facts first, then predicates from the leaves of the template dependency
+order upward, atoms sorted within a predicate.
 
 Three passes read the format:
 
@@ -92,31 +94,36 @@ class GroundNetwork:
         return sum(len(neuron.inputs) for neuron in self.neurons)
 
 
-def build(grounding: Grounding, template: Template, example_id: str | None = None,
-          capacity: int = DEFAULT_CAPACITY) -> GroundNetwork:
-    """The example's network; CapacityError when it would hold more than
-    `capacity` neurons."""
-    rank, rules = template._plan.rank, template._plan.rules
-
-    def emission_key(atom: Atom) -> tuple:
-        # Example-only predicates (rank 0) are pure leaves and go first;
-        # template predicates go by stratum rank, bodies before heads.
-        return (rank.get(atom.signature, 0), ground_atom_key(atom))
-
+def _layout(grounding: Grounding, capacity: int) -> tuple:
+    """(the network's atoms, head atom -> {clause_id: [instances]} in
+    encounter order, (atom, fact, rule, agg) neuron counts), before any
+    neuron exists; CapacityError when it would hold more than `capacity`."""
     # Every body atom is a fact or the head of an active instance.
     atoms = {inst.head for inst in grounding.instances}
     atoms.update(atom for atom, _ in grounding.ground_facts)
-
-    grouped = {}  # head atom -> {clause_id: [instances]} in encounter order
+    grouped = {}
     for inst in grounding.instances:
         grouped.setdefault(inst.head, {}).setdefault(inst.clause_id, []).append(inst)
+    # One neuron per atom, fact, rule instance and (clause, head) pair.
+    counts = (len(atoms), len(grounding.ground_facts), len(grounding.instances),
+              sum(map(len, grouped.values())))
+    if sum(counts) > capacity:
+        raise CapacityError(sum(counts), capacity, "neurons per network")
+    return atoms, grouped, counts
 
-    # One neuron per fact, rule instance, (clause, head) pair and atom.
-    count = (len(grounding.ground_facts) + len(grounding.instances) + len(atoms)
-             + sum(len(by_clause) for by_clause in grouped.values()))
-    if count > capacity:
-        raise CapacityError(count, capacity, "neurons per network")
 
+def census(grounding: Grounding, capacity: int = DEFAULT_CAPACITY) -> tuple:
+    """`build(grounding, ...).counts()` without building the network; the
+    same CapacityError."""
+    return _layout(grounding, capacity)[2]
+
+
+def build(grounding: Grounding, template: Template, example_id: str | None = None,
+          capacity: int = DEFAULT_CAPACITY) -> GroundNetwork:
+    """The example's network, from one `_layout` (the step `census` stops
+    after); CapacityError when it would hold more than `capacity` neurons."""
+    rank, rules = template._plan.rank, template._plan.rules
+    atoms, grouped, _ = _layout(grounding, capacity)
     neurons, outputs = [], {}
 
     def emit(kind, origin, inputs=(), weights=(), offset_pid=None) -> int:
@@ -127,7 +134,9 @@ def build(grounding: Grounding, template: Template, example_id: str | None = Non
     for atom, weight in grounding.ground_facts:
         facts_by_atom.setdefault(atom, []).append((emit(FACT, atom), weight))
 
-    for atom in sorted(atoms, key=emission_key):
+    # Example-only predicates (rank 0) are pure leaves and go first;
+    # template predicates go by stratum rank, bodies before heads.
+    for atom in sorted(atoms, key=lambda a: (rank.get(a.signature, 0), ground_atom_key(a))):
         agg_inputs, agg_weights, offset = [], [], None
         for clause_id, insts in grouped.get(atom, {}).items():
             rule = rules[clause_id]

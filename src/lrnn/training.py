@@ -17,7 +17,7 @@ A restart depends only on its seed, so `train` deals the restarts of a
 task with something learnable to as many processes as it has CPUs, on
 forked copies of the compiled task (where it can fork and no other
 thread runs), and merges their outcomes in restart order: the same
-bytes on any number of CPUs.
+bytes, or the same exception, on any number of CPUs.
 """
 
 import hashlib
@@ -284,51 +284,64 @@ def _process_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _outcomes(restart, group) -> tuple:
-    """(True, the group's outcomes), or (False, the exception one raised
-    and its traceback, pickled)."""
-    try:
-        return True, [restart(r) for r in group]
-    except Exception as err:
-        import pickle  # only a failing child pays for these imports
-        import traceback
-        return False, pickle.dumps((err, traceback.format_exc()))
+def _run(restart, group) -> tuple:
+    """(the outcomes of `group`'s restarts, None), or (them up to the
+    first that raised and None after, (that restart, its exception, its
+    traceback))."""
+    outcomes = [None] * len(group)
+    for i, r in enumerate(group):
+        try:
+            outcomes[i] = restart(r)
+        except Exception as err:
+            import traceback  # only a failing restart pays for the import
+            return outcomes, (r, err, traceback.format_exc())
+    return outcomes, None
 
 
-def _forked(restart, restarts: int, processes: int) -> list:
+def _dealt(restart, restarts: int, processes: int) -> list:
     """`[restart(r) for r in range(restarts)]`, dealt round robin to
     `processes` groups: this process runs group 0 and forks a child per
-    other group.  A child sends back marshal(`_outcomes`) and ends with
-    `os._exit`; its exception is raised here.  No child outlives the call."""
-    import signal  # only a forking call pays for the import
+    other group.  A child sends back marshal(`_run`), its failure
+    pickled, and ends with `os._exit`.  As in one process, the
+    lowest-numbered failing restart's exception is raised.  No child
+    outlives the call."""
     outcomes, reads, pids = [None] * restarts, [], []
     try:
         for group in range(1, processes):
+            import signal  # only a forking call pays for the import; `finally` kills with it
             read, write = os.pipe()
             reads.append(read)
             with open(write, "wb") as out:  # the parent's end closes after the fork
                 pid = os.fork()
                 if pid == 0:
                     try:
-                        out.write(marshal.dumps(_outcomes(restart, range(group, restarts, processes))))
+                        done, failed = _run(restart, range(group, restarts, processes))
+                        if failed is not None:
+                            import pickle  # only a failing child pays for the import
+                            failed = pickle.dumps(failed)
+                        out.write(marshal.dumps((done, failed)))
                         out.flush()
                         os._exit(0)
                     finally:
                         os._exit(1)
                 pids.append(pid)
-        outcomes[::processes] = [restart(r) for r in range(0, restarts, processes)]
+        outcomes[::processes], first = _run(restart, range(0, restarts, processes))
         for group, read in enumerate(reads, 1):
+            if first is not None and first[0] < group:
+                break  # this group's restarts, and later groups', all come after it
             with open(read, "rb", closefd=False) as pipe:
                 reply = pipe.read()
-            if not reply:
+            if not reply:  # as if its first restart failed: no later group's can come first
                 lost = list(range(group, restarts, processes))
                 raise RuntimeError(f"the process running restarts {lost} ended without a reply")
-            ok, payload = marshal.loads(reply)
-            if not ok:
+            outcomes[group::processes], failed = marshal.loads(reply)
+            if failed is not None:
                 import pickle
-                err, trace = pickle.loads(payload)
-                raise err from RuntimeError(f"raised in a forked process:\n{trace}")
-            outcomes[group::processes] = payload
+                failed = pickle.loads(failed)
+                failed[1].__cause__ = RuntimeError(f"raised in a forked process:\n{failed[2]}")
+                first = failed if first is None else min(first, failed)  # by restart
+        if first is not None:
+            raise first[1]
         return outcomes
     finally:
         for read in reads:
@@ -371,9 +384,7 @@ def train(task: TrainingTask, compiled: CompiledTask | None = None) -> tuple:
         compiled._share()
         for net in (net for net, queries in zip(compiled.nets, compiled.queries) if queries):
             _cone(net)
-        outcomes = _forked(restart, cfg.restarts, processes)
-    else:
-        outcomes = [restart(r) for r in range(cfg.restarts)]
+    outcomes = _dealt(restart, cfg.restarts, processes)
     report, best = TrainReport(), None
     for r, (costs, final, values) in enumerate(outcomes):
         report.curves += [(r, epoch, c) for epoch, c in enumerate(costs)]

@@ -6,8 +6,8 @@ import math
 
 import pytest
 
-from lrnn import (Atom, CompiledTask, Example, QueryRow, TrainingTask, crossvalidate,
-                  make_folds, parse_params, render_params)
+from lrnn import (Atom, CompiledTask, Example, QueryRow, TrainingTask, compile_networks,
+                  crossvalidate, make_folds, parse_params, render_params)
 from lrnn import cli, grounding, network, training
 from lrnn.cli import main
 from lrnn.errors import ParseError
@@ -69,6 +69,22 @@ def test_ground_writes_stats_and_instances(tmp_path):
         ["e1", "template.lrnn:0", "C=eve M=alice", "mother(eve,alice)",
          "parent(eve,alice), female(alice)"],
     ]
+
+
+def test_ground_builds_no_network(tmp_path, monkeypatch):
+    # stats.csv counts each example's neurons from its grounding alone.
+    template_path, examples_path, _ = _bond_files(tmp_path, 6)
+    built = []
+    for module in (training, network):
+        monkeypatch.setattr(module, "build", lambda *args, **kwargs: built.append(args))
+    rc = main(["ground", "--template", template_path, "--examples", examples_path,
+               "--out", str(tmp_path / "o")])
+    assert (rc, built) == (0, [])
+    monkeypatch.undo()
+    examples, _ = make_bond_dataset(6, seed=0)
+    nets = compile_networks(_cli_template("explosives"), examples)
+    assert _read_csv(tmp_path / "o" / "stats.csv")[1:] == [
+        [example_id, *map(str, net.counts())] for example_id, net in nets.items()]
 
 
 def test_ground_recursive_template_exits_3(tmp_path):

@@ -6,8 +6,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from lrnn import (Atom, CapacityError, Constant, backward, build, export_dot, forward, ground,
-                  parse_examples, parse_template)
+from lrnn import (Atom, CapacityError, Constant, backward, build, census, export_dot, forward,
+                  ground, parse_examples, parse_template)
 from lrnn.fixtures import fixture_names
 from lrnn.network import AGG, ATOM, FACT, RULE, _reverse_order, merge
 
@@ -266,6 +266,32 @@ def test_build_budget_is_the_neuron_count():
             with pytest.raises(CapacityError) as exc:
                 build(g, t, capacity=size - 1)
             assert (exc.value.count, exc.value.cap) == (size, size - 1)
+
+
+def _check_census(g, template):
+    """`census` gives `build`'s counts, and its error one neuron short."""
+    net = build(g, template)
+    size = len(net.neurons)
+    assert census(g) == census(g, size) == net.counts()
+    errors = []
+    for count in (census, lambda g, capacity: build(g, template, capacity=capacity)):
+        with pytest.raises(CapacityError) as exc:
+            count(g, size - 1)
+        errors.append((type(exc.value), str(exc.value), vars(exc.value)))
+    assert errors[0] == errors[1]
+
+
+def test_census_counts_what_build_builds_on_fixtures():
+    for name in fixture_names():
+        t = load_template(name)
+        for ex in load_examples(name):
+            _check_census(ground(t, ex.facts), t)
+
+
+@given(rng=st.randoms(use_true_random=False), weighted_facts=st.booleans())
+def test_census_counts_what_build_builds_on_drawn_programs(rng, weighted_facts):
+    template, facts, _params = _drawn_program(rng, weighted_facts)
+    _check_census(ground(template, facts), template)
 
 
 def test_bright_edges_pinned_value():

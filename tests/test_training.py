@@ -15,6 +15,7 @@ from lrnn import (FAMILIES, AllRestartsFailedError, Atom, CompiledTask, Constant
                   compile_networks, cost, crossvalidate, derive_seed, forward, ground,
                   parse_examples, parse_template, sgd_epoch, sigmoid, train, zero_one_error)
 from lrnn import network, training
+from lrnn.errors import CapacityError, ParseError, RecursiveTemplateError
 from lrnn.fixtures import fixture_names
 from lrnn.logic import Example, QueryRow
 from lrnn.training import COST_KINDS
@@ -1116,6 +1117,54 @@ def test_a_failed_restart_is_raised_and_no_child_is_left(monkeypatch, restart, f
         assert "in failing" in str(exc.value.__cause__)
     assert len(forks) == 2
     _no_child_left()
+
+
+def _failing_restarts(monkeypatch, task, errors):
+    """Make restart r raise errors[r] as it draws its store, in whichever
+    process runs it."""
+    seeds = {derive_seed(task.config.seed, "restart", r): err for r, err in errors.items()}
+    real = CompiledTask.initial_params
+
+    def failing(self, restart_seed):
+        err = seeds.get(restart_seed)
+        if err is not None:
+            raise err
+        return real(self, restart_seed)
+
+    monkeypatch.setattr(CompiledTask, "initial_params", failing)
+
+
+@pytest.mark.parametrize("error", [
+    ParseError("unexpected ')'", "template.lrnn", 2, 5),
+    RecursiveTemplateError([("p", 1), ("q", 1), ("p", 1)]),
+    CapacityError(9, 8, "neurons per network"),
+    DivergenceError("t:0", 3),
+], ids=lambda err: type(err).__name__)
+def test_a_package_error_raised_in_a_child_is_raised_here(monkeypatch, error):
+    task = _tiny_task(restarts=2, epochs=2, seed=5)
+    _pin_processes(monkeypatch, 2)  # restart 1 runs in the child
+    _failing_restarts(monkeypatch, task, {1: error})
+    forks = _count_forks(monkeypatch)
+    with pytest.raises(type(error)) as exc:
+        train(task)
+    assert exc.value is not error  # a copy, sent back over the pipe
+    assert (str(exc.value), vars(exc.value)) == (str(error), vars(error))
+    assert "raised in a forked process" in str(exc.value.__cause__)
+    assert len(forks) == 1
+    _no_child_left()
+
+
+@pytest.mark.parametrize("failing", [(1, 2), (2, 3), (0, 1), (3,), (1,), (2,), (0, 3)])
+def test_the_lowest_failing_restart_is_raised_on_any_process_count(monkeypatch, failing):
+    task = _tiny_task(restarts=4, epochs=2, seed=5)
+    _failing_restarts(monkeypatch, task,
+                      {r: CapacityError(r, 0, f"restart {r}") for r in failing})
+    for processes in (1, 2, 3):  # 2: restarts 0 and 2 here, 1 and 3 in a child
+        _pin_processes(monkeypatch, processes)
+        with pytest.raises(CapacityError) as exc:
+            train(task)
+        assert exc.value.count == min(failing), processes
+        _no_child_left()
 
 
 def test_train_forks_nothing_while_another_thread_runs(monkeypatch):
