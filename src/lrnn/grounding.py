@@ -26,10 +26,12 @@ yields the same rows in the same order as the scan it replaces.
 Variables occurring only in a clause head (including facts written with
 variables) range over the full constant universe of template + example.
 
-Each ground atom is built once, from the finished relations.  The head
-and body atoms of every rule instance, and the atoms of template ground
-facts, are the model's own `Atom` objects, looked up by (predicate,
-argument names).
+Each ground atom is one object, built once.  An example fact keeps its
+parsed `Atom` (the first one, for a fact given twice); every other row
+of the finished relations gets a new one, over `Constant`s made once per
+pass.  The head and body atoms of every rule instance, and the atoms of
+all ground facts, template and example, are these model objects, looked
+up by (predicate, argument names).
 
 One budget, `capacity`, bounds the grounding work: the model may hold
 at most that many atoms, model atoms plus distinct rule instances may
@@ -66,6 +68,13 @@ class GroundRuleInstance:
 
 @dataclass(frozen=True, slots=True)
 class Grounding:
+    """An example's model, active rule instances and weighted facts.
+
+    Equal atoms are one object: every instance head and body atom and
+    every `ground_facts` atom is the model's own.  `network.build` and
+    `network.census` key atoms by identity and rely on this; a Grounding
+    made by hand must keep it."""
+
     model: HerbrandModel
     instances: tuple  # GroundRuleInstance, ordered by (clause ordinal, theta)
     ground_facts: tuple  # (Atom, pid or fixed weight), template facts then example facts
@@ -157,12 +166,14 @@ def _evaluate(template: Template, example_facts, capacity: int, on_match=None) -
     """The one bottom-up pass: (atoms, model, fact rows).
 
     atoms maps (predicate, argument names) to the model's Atom, one per
-    row, and fact rows pairs each fact clause, in template order, with
-    the rows it seeds.  Every new row counts against capacity.  When
+    row: an example fact's row keeps the first parsed Atom given for it,
+    and every other row gets a new Atom over Constants made once per
+    pass.  fact rows pairs each fact clause, in template order, with the
+    rows it seeds.  Every new row counts against capacity.  When
     on_match is given, every match counts as well and is handed over as
-    on_match(rule, substitution) once its head row is in.  Matches of
-    one rule are distinct substitutions: they bind distinct rows of
-    sets, then each distinct head-only variable to a constant.
+    on_match(rule, substitution, head row) once its head row is in.
+    Matches of one rule are distinct substitutions: they bind distinct
+    rows of sets, then each distinct head-only variable to a constant.
     """
     plan = template._plan
     universe = tuple(sorted(plan.constants.union(
@@ -170,11 +181,13 @@ def _evaluate(template: Template, example_facts, capacity: int, on_match=None) -
 
     # Fact clauses seed the relations; variable heads expand over the universe.
     fact_rows = [(c, list(_fact_rows(c, universe))) for c in template.clauses if c.is_fact]
-    relations = {}
+    relations, atoms = {}, {}
     for c, rows in fact_rows:
         relations.setdefault(c.head.signature, set()).update(rows)
     for _, atom in example_facts:
-        relations.setdefault(atom.signature, set()).add(tuple([t.name for t in atom.args]))
+        row = tuple([t.name for t in atom.args])
+        relations.setdefault(atom.signature, set()).add(row)
+        atoms.setdefault((atom.pred, row), atom)
     count = sum(len(rows) for rows in relations.values())
     if count > capacity:
         raise CapacityError(count, capacity)
@@ -197,9 +210,12 @@ def _evaluate(template: Template, example_facts, capacity: int, on_match=None) -
                     charge()
                 if on_match is not None:
                     charge()
-                    on_match(rule, full)
-    atoms = {(pred, row): Atom(pred, tuple([Constant(n) for n in row]))
-             for (pred, _), rows in relations.items() for row in rows}
+                    on_match(rule, full, row)
+    constants = {name: Constant(name) for name in universe}
+    for (pred, _), rows in relations.items():
+        for row in rows:
+            if (pred, row) not in atoms:
+                atoms[pred, row] = Atom(pred, tuple([constants[n] for n in row]))
     return atoms, HerbrandModel(frozenset(atoms.values()), universe), fact_rows
 
 
@@ -215,22 +231,23 @@ def ground(template: Template, example_facts=(), capacity: int = DEFAULT_CAPACIT
     theta), ordered by (clause ordinal, theta); facts come template-first
     in clause order, then example facts in input order.
     """
-    matches = {}  # rule -> [(theta, substitution)]
+    matches = {}  # rule -> [(theta, substitution, head row)]
 
-    def keep(rule, full):
-        matches.setdefault(rule, []).append((tuple(sorted(full.items())), full))
+    def keep(rule, full, row):
+        matches.setdefault(rule, []).append((tuple(sorted(full.items())), full, row))
 
     table, model, fact_rows = _evaluate(template, example_facts, capacity, keep)
     instances = []
     for rule in template._plan.rules.values():
         head_pred = rule.head_sig[0]
-        for theta, full in sorted(matches.get(rule, ()), key=lambda match: match[0]):
-            head = table[head_pred, _instantiate(rule.head_pat, full)]
+        for theta, full, row in sorted(matches.get(rule, ()), key=lambda match: match[0]):
+            head = table[head_pred, row]
             body = tuple([table[pred, _instantiate(pattern, full)]
                           for pred, pattern in rule.body_pats])
             instances.append(GroundRuleInstance(rule.clause_id, theta, head, body))
 
     ground_facts = [(table[c.head.pred, row], c.clause_id)
                     for c, rows in fact_rows for row in rows]
-    ground_facts.extend((atom, weight) for weight, atom in example_facts)
+    ground_facts.extend((table[atom.pred, tuple([t.name for t in atom.args])], weight)
+                        for weight, atom in example_facts)
     return Grounding(model, tuple(instances), tuple(ground_facts))

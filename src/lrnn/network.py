@@ -22,9 +22,11 @@ gradients stay exact.  One layout step, shared by `build` and `census`,
 groups an example's instances by head and clause and counts its neurons
 from the grounding before any neuron exists, raising CapacityError when
 they exceed the grounding budget; `census` (the `ground` command's
-stats) stops there.  Neuron order is topological and deterministic:
-facts first, then predicates from the leaves of the template dependency
-order upward, atoms sorted within a predicate.
+stats) stops there.  Layout and wiring key atoms by identity, since a
+`Grounding` holds one object per distinct atom; only `outputs`, which
+queries read, is keyed by value.  Neuron order is topological and
+deterministic: facts first, then predicates from the leaves of the
+template dependency order upward, atoms sorted within a predicate.
 
 Three passes read the format:
 
@@ -95,15 +97,17 @@ class GroundNetwork:
 
 
 def _layout(grounding: Grounding, capacity: int) -> tuple:
-    """(the network's atoms, head atom -> {clause_id: [instances]} in
-    encounter order, (atom, fact, rule, agg) neuron counts), before any
-    neuron exists; CapacityError when it would hold more than `capacity`."""
+    """(id -> atom for the network's atoms, id(head) -> {clause_id:
+    [instances]} in encounter order, (atom, fact, rule, agg) neuron
+    counts), before any neuron exists; CapacityError when it would hold
+    more than `capacity`.  Atoms are keyed by identity: a grounding holds
+    one object per distinct atom."""
     # Every body atom is a fact or the head of an active instance.
-    atoms = {inst.head for inst in grounding.instances}
-    atoms.update(atom for atom, _ in grounding.ground_facts)
+    atoms = {id(inst.head): inst.head for inst in grounding.instances}
+    atoms.update((id(atom), atom) for atom, _ in grounding.ground_facts)
     grouped = {}
     for inst in grounding.instances:
-        grouped.setdefault(inst.head, {}).setdefault(inst.clause_id, []).append(inst)
+        grouped.setdefault(id(inst.head), {}).setdefault(inst.clause_id, []).append(inst)
     # One neuron per atom, fact, rule instance and (clause, head) pair.
     counts = (len(atoms), len(grounding.ground_facts), len(grounding.instances),
               sum(map(len, grouped.values())))
@@ -124,7 +128,7 @@ def build(grounding: Grounding, template: Template, example_id: str | None = Non
     after); CapacityError when it would hold more than `capacity` neurons."""
     rank, rules = template._plan.rank, template._plan.rules
     atoms, grouped, _ = _layout(grounding, capacity)
-    neurons, outputs = [], {}
+    neurons, ids = [], {}  # ids: id(atom) -> its atom neuron
 
     def emit(kind, origin, inputs=(), weights=(), offset_pid=None) -> int:
         neurons.append(Neuron(kind, origin, tuple(inputs), tuple(weights), offset_pid))
@@ -132,25 +136,27 @@ def build(grounding: Grounding, template: Template, example_id: str | None = Non
 
     facts_by_atom = {}
     for atom, weight in grounding.ground_facts:
-        facts_by_atom.setdefault(atom, []).append((emit(FACT, atom), weight))
+        facts_by_atom.setdefault(id(atom), []).append((emit(FACT, atom), weight))
 
     # Example-only predicates (rank 0) are pure leaves and go first;
     # template predicates go by stratum rank, bodies before heads.
-    for atom in sorted(atoms, key=lambda a: (rank.get(a.signature, 0), ground_atom_key(a))):
+    for atom in sorted(atoms.values(),
+                       key=lambda a: (rank.get(a.signature, 0), ground_atom_key(a))):
         agg_inputs, agg_weights, offset = [], [], None
-        for clause_id, insts in grouped.get(atom, {}).items():
+        for clause_id, insts in grouped.get(id(atom), {}).items():
             rule = rules[clause_id]
             origin = (clause_id, atom)
-            rule_ids = [emit(RULE, origin, [outputs[b] for b in inst.body], (), rule.conj)
+            rule_ids = [emit(RULE, origin, [ids[id(b)] for b in inst.body], (), rule.conj)
                         for inst in insts]
             agg_inputs.append(emit(AGG, origin, rule_ids))
             agg_weights.append(clause_id)
             offset = rule.disj  # one per head signature
-        for fact_id, weight in facts_by_atom.get(atom, ()):
+        for fact_id, weight in facts_by_atom.get(id(atom), ()):
             agg_inputs.append(fact_id)
             agg_weights.append(weight)
-        outputs[atom] = emit(ATOM, atom, agg_inputs, agg_weights, offset)
+        ids[id(atom)] = emit(ATOM, atom, agg_inputs, agg_weights, offset)
 
+    outputs = {neurons[nid].origin: nid for nid in ids.values()}
     return GroundNetwork(neurons, outputs, example_id)
 
 

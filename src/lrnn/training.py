@@ -302,9 +302,11 @@ def _dealt(restart, restarts: int, processes: int) -> list:
     """`[restart(r) for r in range(restarts)]`, dealt round robin to
     `processes` groups: this process runs group 0 and forks a child per
     other group.  A child sends back marshal(`_run`), its failure
-    pickled, and ends with `os._exit`.  As in one process, the
-    lowest-numbered failing restart's exception is raised.  No child
-    outlives the call."""
+    pickled, and ends with `os._exit`; an exception that does not
+    survive a pickle round trip comes back as a RuntimeError naming its
+    type and message.  As in one process, the lowest-numbered failing
+    restart's exception is raised, a child's with its traceback text as
+    the cause.  No child outlives the call."""
     outcomes, reads, pids = [None] * restarts, [], []
     try:
         for group in range(1, processes):
@@ -318,7 +320,14 @@ def _dealt(restart, restarts: int, processes: int) -> list:
                         done, failed = _run(restart, range(group, restarts, processes))
                         if failed is not None:
                             import pickle  # only a failing child pays for the import
-                            failed = pickle.dumps(failed)
+                            try:
+                                sent = pickle.dumps(failed)
+                                pickle.loads(sent)  # it must also come back
+                            except Exception:  # sent as its type name and message
+                                r, err, text = failed
+                                stand_in = RuntimeError(f"{type(err).__name__}: {err}")
+                                sent = pickle.dumps((r, stand_in, text))
+                            failed = sent
                         out.write(marshal.dumps((done, failed)))
                         out.flush()
                         os._exit(0)

@@ -7,8 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from lrnn import (Atom, CapacityError, Constant, RecursiveTemplateError,
-                  Variable, build, check_nonrecursive, ground, grounding,
+                  Variable, build, census, check_nonrecursive, ground, grounding,
                   least_herbrand_model, logic, parse_examples, parse_template)
+from lrnn.fixtures import fixture_names
 
 from helpers import load_examples, load_template
 from oracles import (apply, naive_instances, naive_model, naive_template_facts,
@@ -196,6 +197,61 @@ def test_grounding_matches_oracles_on_drawn_programs(rng):
     got = [(i.clause_id, i.theta) for i in g.instances]
     assert len(got) == len(set(got))
     assert set(got) == naive_instances(template, facts, g.model.atoms)
+
+
+# ---------------------------------------------------------------------------
+# One object per ground atom: `build` and `census` key atoms by identity
+
+
+def _given_twice(facts):
+    """facts, then an equal but separately made copy of the first, weighted 0.5."""
+    if not facts:
+        return facts
+    atom = facts[0][1]
+    return (*facts, (0.5, Atom(atom.pred, tuple(Constant(t.name) for t in atom.args))))
+
+
+def _check_one_object_per_atom(template, facts):
+    g = ground(template, facts)
+    model = {id(a) for a in g.model.atoms}
+    used = [a for inst in g.instances for a in (inst.head, *inst.body)]
+    used += [a for a, _ in g.ground_facts]
+    assert all(id(a) in model for a in used)
+    assert len({id(a) for a in used}) == len(set(used))
+    # An example fact is the first parsed Atom given for it.
+    first = {}
+    for _, atom in facts:
+        first.setdefault(atom, atom)
+    given = g.ground_facts[len(g.ground_facts) - len(facts):]
+    assert all(a is first[b] for (a, _), (_, b) in zip(given, facts, strict=True))
+    assert census(g) == build(g, template).counts()
+
+
+def test_one_object_per_atom_on_fixtures():
+    for name in fixture_names():
+        t = load_template(name)
+        for ex in load_examples(name):
+            _check_one_object_per_atom(t, ex.facts)
+            _check_one_object_per_atom(t, _given_twice(ex.facts))
+
+
+@given(st.randoms(use_true_random=False))
+def test_one_object_per_atom_on_drawn_programs(rng):
+    template, facts = random_nonrecursive_program(rng)
+    _check_one_object_per_atom(template, facts)
+    _check_one_object_per_atom(template, _given_twice(facts))
+
+
+def test_an_example_fact_that_is_a_rule_head_is_one_object():
+    t = parse_template("1.0 :: q(X) :- p(X).\n1.0 :: r(X) :- q(X).", "src")
+    (example,) = parse_examples("#example e\n1.0 :: p(a).\n0.5 :: q(a).\n0.25 :: q(a).\n")
+    _check_one_object_per_atom(t, example.facts)
+    g = ground(t, example.facts)
+    parsed = example.facts[1][1]
+    heads = {inst.clause_id: inst.head for inst in g.instances}
+    assert heads["src:0"] is parsed
+    assert [inst.body for inst in g.instances if inst.clause_id == "src:1"] == [(parsed,)]
+    assert [id(a) for a, _ in g.ground_facts] == [id(example.facts[0][1]), id(parsed), id(parsed)]
 
 
 # One program per shape the join indexes on; each is checked against the

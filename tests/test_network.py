@@ -281,6 +281,18 @@ def _check_census(g, template):
     assert errors[0] == errors[1]
 
 
+def test_a_network_keeps_the_parsed_example_fact_atoms():
+    for name in fixture_names():
+        t = load_template(name)
+        for ex in load_examples(name):
+            net = build(ground(t, ex.facts), t)
+            facts = [n for n in net.neurons if n.kind == FACT]
+            for neuron, (_, atom) in zip(facts[len(facts) - len(ex.facts):], ex.facts,
+                                         strict=True):
+                assert neuron.origin is atom
+                assert net.neurons[net.outputs[atom]].origin is atom
+
+
 def test_census_counts_what_build_builds_on_fixtures():
     for name in fixture_names():
         t = load_template(name)

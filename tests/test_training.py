@@ -1154,6 +1154,33 @@ def test_a_package_error_raised_in_a_child_is_raised_here(monkeypatch, error):
     _no_child_left()
 
 
+class _HoldsALambda(Exception):
+    def __init__(self, message):
+        super().__init__(message)
+        self.hook = lambda: None  # pickle.dumps fails
+
+
+class _NeedsTwoArguments(Exception):
+    def __init__(self, message, code):
+        super().__init__(f"{message} ({code})")  # pickles, but pickle.loads fails
+
+
+@pytest.mark.parametrize("error", [_HoldsALambda("lost hook"), _NeedsTwoArguments("bad", 7)],
+                         ids=lambda err: type(err).__name__)
+def test_a_child_exception_that_does_not_pickle_is_raised_by_name(monkeypatch, error):
+    task = _tiny_task(restarts=2, epochs=2, seed=5)
+    _pin_processes(monkeypatch, 2)  # restart 1 runs in the child
+    _failing_restarts(monkeypatch, task, {1: error})
+    forks = _count_forks(monkeypatch)
+    with pytest.raises(RuntimeError) as exc:
+        train(task)
+    assert str(exc.value) == f"{type(error).__name__}: {error}"
+    assert "raised in a forked process" in str(exc.value.__cause__)
+    assert f"{type(error).__name__}: {error}" in str(exc.value.__cause__)  # the traceback
+    assert len(forks) == 1
+    _no_child_left()
+
+
 @pytest.mark.parametrize("failing", [(1, 2), (2, 3), (0, 1), (3,), (1,), (2,), (0, 3)])
 def test_the_lowest_failing_restart_is_raised_on_any_process_count(monkeypatch, failing):
     task = _tiny_task(restarts=4, epochs=2, seed=5)
