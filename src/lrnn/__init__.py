@@ -18,8 +18,8 @@ from .logic import (Atom, Constant, Example, ParameterStore, QueryRow, Template,
                     render_clause, render_examples, render_params, render_template)
 from .network import GroundNetwork, Neuron, ValueMap, backward, build, census, export_dot, forward
 from .training import (CompiledTask, TrainConfig, TrainingTask, TrainReport, compile_networks,
-                       cost, crossvalidate, derive_seed, ground_networks, make_folds,
-                       sgd_epoch, train, zero_one_error)
+                       cost, crossvalidate, derive_seed, make_folds, sgd_epoch, train,
+                       zero_one_error)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

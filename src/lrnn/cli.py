@@ -11,8 +11,8 @@ Subcommands:
 Exit codes: 0 success, 2 malformed input, bad configuration or an
 output path that cannot be written, 3 recursive template, 4 grounding
 capacity exceeded.  The environment variable LRNN_CAPACITY overrides the
-default grounding budget (model atoms plus rule instances, and neurons
-per network).
+default grounding budget (model atoms plus rule instances, the
+substitutions of one join step, and neurons per network).
 All outputs are deterministic functions of the inputs and --seed.
 """
 
@@ -28,9 +28,9 @@ from .activations import FAMILIES, MAX_SIGMOID
 from .errors import CapacityError, LrnnError, ParseError, RecursiveTemplateError
 from .grounding import DEFAULT_CAPACITY, ground
 from .logic import parse_examples, parse_params, parse_queries, parse_template, render_params
-from .network import census, export_dot
+from .network import build, census, export_dot
 from .training import (COST_KINDS, SQUARED_SIGMOID, CompiledTask, TrainConfig, TrainingTask,
-                       crossvalidate, ground_networks, train, zero_one_error)
+                       crossvalidate, train, zero_one_error)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +167,9 @@ def cmd_export_dot(args) -> int:
     template, examples = _load_inputs(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for ex, _, net in ground_networks(template, examples, _capacity()):
+    capacity = _capacity()
+    for ex in examples:  # one network held at a time
+        net = build(ground(template, ex.facts, capacity), template, ex.example_id, capacity)
         (out / f"{ex.example_id}.dot").write_text(export_dot(net), encoding="utf-8")
     return 0
 

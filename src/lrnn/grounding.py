@@ -70,10 +70,12 @@ class GroundRuleInstance:
 class Grounding:
     """An example's model, active rule instances and weighted facts.
 
-    Equal atoms are one object: every instance head and body atom and
-    every `ground_facts` atom is the model's own.  `network.build` and
-    `network.census` key atoms by identity and rely on this; a Grounding
-    made by hand must keep it."""
+    The model holds exactly the network's atoms: each model atom is a
+    `ground_facts` atom or an instance head.  Equal atoms are one object:
+    every instance head and body atom and every `ground_facts` atom is
+    the model's own.  `network.build` and `network.census` take their
+    atoms from the model, key them by identity and rely on both; a
+    Grounding made by hand must keep them."""
 
     model: HerbrandModel
     instances: tuple  # GroundRuleInstance, ordered by (clause ordinal, theta)

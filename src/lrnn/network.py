@@ -19,14 +19,15 @@ Rule and aggregation edges have unit weight and store none.  An atom
 edge's weight is a parameter id (`str`) or a fixed number (`float`).  A
 shared parameter appears at most once on any simple path, so accumulated
 gradients stay exact.  One layout step, shared by `build` and `census`,
-groups an example's instances by head and clause and counts its neurons
-from the grounding before any neuron exists, raising CapacityError when
-they exceed the grounding budget; `census` (the `ground` command's
-stats) stops there.  Layout and wiring key atoms by identity, since a
-`Grounding` holds one object per distinct atom; only `outputs`, which
-queries read, is keyed by value.  Neuron order is topological and
-deterministic: facts first, then predicates from the leaves of the
-template dependency order upward, atoms sorted within a predicate.
+takes an example's atoms from its grounding's model, groups its
+instances by head and clause and counts its neurons before any neuron
+exists, raising CapacityError when they exceed the grounding budget;
+`census` (the `ground` command's stats) stops there.  Layout and wiring
+key atoms by identity, since a `Grounding` holds one object per
+distinct atom; only `outputs`, which queries read, is keyed by value.
+Neuron order is topological and deterministic: facts first, then
+predicates from the leaves of the template dependency order upward,
+atoms sorted within a predicate.
 
 Three passes read the format:
 
@@ -36,9 +37,9 @@ Three passes read the format:
               neuron's inputs are the terms weight * source value
     backward  the reverse sweep over the cone order: the neurons with a
               parameter in their input cone (no other adds to a
-              gradient), last first, built on the first call and kept
-              with the network.  It keeps nothing from `forward` but the
-              values, takes each neuron's local slope from its value,
+              gradient), last first, given by the caller or worked out
+              for the one network.  It keeps nothing from `forward` but
+              the values, takes each neuron's local slope from its value,
               recomputes the inputs only to find the winner of a min or
               max (which alone receives the adjoint), and sums a shared
               parameter's gradient over all of its edges
@@ -53,11 +54,12 @@ on its scores come from one `forward` over the merge.  The online step
 runs `forward` over one example's merged ids (sorted, since `merge`
 numbers an input before its consumers) into the epoch's one buffer,
 expands the values through the example's index and runs `backward` on
-the example's own network with them.
+the example's own network with them, in the cone order the task read
+off its merge: one liveness pass per merged neuron for all examples.
 """
 
-from dataclasses import dataclass, field
-from itertools import compress, zip_longest
+from dataclasses import dataclass
+from itertools import zip_longest
 
 from .activations import (AGGREGATION, CONJUNCTION, DISJUNCTION, WEIGHTED_SUM, operations,
                           winner)
@@ -82,8 +84,6 @@ class GroundNetwork:
     neurons: list
     outputs: dict  # ground Atom -> atom neuron id
     example_id: str | None = None
-    # Built on first use and kept: assumes `neurons` no longer changes.
-    _reverse: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def counts(self) -> tuple:
         """(atom, fact, rule, agg) neuron counts."""
@@ -97,14 +97,12 @@ class GroundNetwork:
 
 
 def _layout(grounding: Grounding, capacity: int) -> tuple:
-    """(id -> atom for the network's atoms, id(head) -> {clause_id:
-    [instances]} in encounter order, (atom, fact, rule, agg) neuron
-    counts), before any neuron exists; CapacityError when it would hold
-    more than `capacity`.  Atoms are keyed by identity: a grounding holds
-    one object per distinct atom."""
-    # Every body atom is a fact or the head of an active instance.
-    atoms = {id(inst.head): inst.head for inst in grounding.instances}
-    atoms.update((id(atom), atom) for atom, _ in grounding.ground_facts)
+    """(the network's atoms, id(head) -> {clause_id: [instances]} in
+    encounter order, (atom, fact, rule, agg) neuron counts), before any
+    neuron exists; CapacityError when it would hold more than `capacity`.
+    Heads are keyed by identity: a grounding holds one object per
+    distinct atom."""
+    atoms = grounding.model.atoms  # each a fact or the head of an instance
     grouped = {}
     for inst in grounding.instances:
         grouped.setdefault(id(inst.head), {}).setdefault(inst.clause_id, []).append(inst)
@@ -140,8 +138,7 @@ def build(grounding: Grounding, template: Template, example_id: str | None = Non
 
     # Example-only predicates (rank 0) are pure leaves and go first;
     # template predicates go by stratum rank, bodies before heads.
-    for atom in sorted(atoms.values(),
-                       key=lambda a: (rank.get(a.signature, 0), ground_atom_key(a))):
+    for atom in sorted(atoms, key=lambda a: (rank.get(a.signature, 0), *ground_atom_key(a))):
         agg_inputs, agg_weights, offset = [], [], None
         for clause_id, insts in grouped.get(id(atom), {}).items():
             rule = rules[clause_id]
@@ -198,25 +195,23 @@ def forward(net: GroundNetwork, params, family: str, ids=None, values=None) -> V
     return ValueMap(values, family)
 
 
-def _reverse_order(net: GroundNetwork) -> list:
-    """Ids of the neurons with a parameter in their input cone (an offset,
-    a parameter weight, or such an input), last first; facts have none."""
+def _sweep_orders(neurons, indexes) -> list:
+    """Per index (a network's neuron id -> id in `neurons`), that
+    network's cone order: the ids of its neurons with a parameter in
+    their input cone (an offset, a parameter weight, or such an input),
+    last first; facts have none.  Decided once per neuron of `neurons`:
+    a merged twin's cone is that of every neuron it stands for."""
     live = []
-    for n in net.neurons:
+    for n in neurons:
         live.append(n.offset_pid is not None or str in map(type, n.weights)
                     or any(map(live.__getitem__, n.inputs)))
-    return list(compress(range(len(live) - 1, -1, -1), reversed(live)))
+    return [[nid for nid in range(len(ids) - 1, -1, -1) if live[ids[nid]]] for ids in indexes]
 
 
-def _cone(net: GroundNetwork) -> list:
-    """The network's `_reverse_order`, built on first use and kept."""
-    if net._reverse is None:
-        net._reverse = _reverse_order(net)
-    return net._reverse
-
-
-def backward(net: GroundNetwork, vm: ValueMap, query_grads: dict, params) -> dict:
-    """Reverse sweep; returns parameter id -> accumulated gradient.
+def backward(net: GroundNetwork, vm: ValueMap, query_grads: dict, params,
+             order: list | None = None) -> dict:
+    """Reverse sweep over `order`, the network's cone order (worked out
+    here when not given); returns parameter id -> accumulated gradient.
 
     query_grads maps ground atoms to d cost / d score seeds; atoms absent
     from the network contribute nothing (their score is a constant 0).
@@ -229,8 +224,10 @@ def backward(net: GroundNetwork, vm: ValueMap, query_grads: dict, params) -> dic
         nid = net.outputs.get(atom)
         if nid is not None:
             adjoint[nid] += g
+    if order is None:
+        order = _sweep_orders(neurons, [range(len(neurons))])[0]
     grads = {}
-    for nid in _cone(net):
+    for nid in order:
         neuron = neurons[nid]
         kind, g = neuron.kind, adjoint[nid]
         if g == 0.0:

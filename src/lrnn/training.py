@@ -4,9 +4,11 @@ passes of `network`.
 Updates are online: after each example's queries are backpropagated,
 weights move at once by w <- w - lr * grad, written straight into the
 store's values.  The first online step (or `train`, before it forks)
-merges the queried examples' networks; each step runs `forward` over
-one example's part of the merge and `backward` over its own network, in
-its cone order.  The epoch cost sums `CompiledTask.scores`; with nothing
+merges the queried examples' networks and keeps per example its part:
+its merged ids, the merged id of each of its neurons, and its
+network's cone order, read off the merge.  Each step runs `forward`
+over the example's merged ids and `backward` over its own network, in
+that order.  The epoch cost sums `CompiledTask.scores`; with nothing
 learnable `train` prices the task once for every epoch.  Restarts
 redraw the learnable weights from Uniform(init_range) with seeds derived
 from the master seed, and the restart with the lowest final training
@@ -33,7 +35,7 @@ from .activations import CONJUNCTION, operations, sigmoid
 from .errors import AllRestartsFailedError, DivergenceError
 from .grounding import DEFAULT_CAPACITY, ground
 from .logic import ParameterStore, QueryRow, Template
-from .network import _cone, backward, build, forward, merge
+from .network import _sweep_orders, backward, build, forward, merge
 
 SQUARED_SIGMOID = "squared_sigmoid"
 CROSS_ENTROPY = "cross_entropy"
@@ -130,20 +132,12 @@ class TrainReport:
         return "".join(line + "\n" for line in lines)
 
 
-def ground_networks(template: Template, examples, capacity: int = DEFAULT_CAPACITY):
-    """Yield (example, grounding, network) for each example, in order.
-
-    An example's network depends only on the template and its facts, so
-    every caller that needs networks compiles them here, once.
-    """
-    for ex in examples:
-        grounding = ground(template, ex.facts, capacity)
-        yield ex, grounding, build(grounding, template, ex.example_id, capacity)
-
-
 def compile_networks(template: Template, examples, capacity: int = DEFAULT_CAPACITY) -> dict:
-    """Example id -> ground network."""
-    return {ex.example_id: net for ex, _, net in ground_networks(template, examples, capacity)}
+    """Example id -> ground network.  An example's network depends only
+    on the template and its facts, so tasks over the same examples can
+    share these."""
+    return {ex.example_id: build(ground(template, ex.facts, capacity), template,
+                                 ex.example_id, capacity) for ex in examples}
 
 
 class CompiledTask:
@@ -201,13 +195,14 @@ class CompiledTask:
     def _share(self) -> tuple:
         """The queried examples' networks merged once: (network, (query,
         merged id or None) per query, per example None if unqueried, else
-        (its merged ids sorted, the merged id of each of its neurons))."""
+        (its merged ids sorted, the merged id of each of its neurons, its
+        network's cone order for `backward`, read off the merge))."""
         if self._shared is None:
             queried = [i for i, queries in enumerate(self.queries) if queries]
             shared, index = merge([self.nets[i] for i in queried])
             rows, parts = [], [None] * len(self.nets)
-            for i, ids in zip(queried, index):
-                parts[i] = (sorted(set(ids)), ids)
+            for i, ids, order in zip(queried, index, _sweep_orders(shared.neurons, index)):
+                parts[i] = (sorted(set(ids)), ids, order)
                 for q in self.queries[i]:
                     nid = self.nets[i].outputs.get(q.atom)
                     rows.append((q, None if nid is None else ids[nid]))
@@ -239,9 +234,10 @@ def sgd_epoch(compiled: CompiledTask, params, learnable, rng, epoch: int = 0) ->
     over all queries under the post-epoch parameters.  Each step runs
     `forward` over the example's merged ids in the task's merge (built
     on the first step and kept with the task) and `backward` over the
-    example's network itself: a merged twin's value differs at most in
-    the sign of a zero, which no gradient tells apart.  The steps share
-    one buffer per epoch: a step writes each slot it reads but the facts'."""
+    example's network itself, in the cone order kept with the merge: a
+    merged twin's value differs at most in the sign of a zero, which no
+    gradient tells apart.  The steps share one buffer per epoch: a step
+    writes each slot it reads but the facts'."""
     task = compiled.task
     cfg = task.config
     shared, _rows, parts = compiled._share()
@@ -253,7 +249,7 @@ def sgd_epoch(compiled: CompiledTask, params, learnable, rng, epoch: int = 0) ->
         queries = compiled.queries[idx]
         if not queries:
             continue
-        net, (ids, index) = compiled.nets[idx], parts[idx]
+        net, (ids, index, sweep) = compiled.nets[idx], parts[idx]
         vm = forward(shared, params, task.family, ids, buffer)
         vm.values = list(map(vm.values.__getitem__, index))  # each neuron's merged twin
         query_grads = {}
@@ -266,7 +262,7 @@ def sgd_epoch(compiled: CompiledTask, params, learnable, rng, epoch: int = 0) ->
         if not query_grads:
             continue
         # Every gradient key is an id `forward` read from the store.
-        for pid, g in backward(net, vm, query_grads, params).items():
+        for pid, g in backward(net, vm, query_grads, params, sweep).items():
             if pid in learnable:
                 value = pv[pid] - lr * g
                 if not math.isfinite(value):
@@ -389,10 +385,8 @@ def train(task: TrainingTask, compiled: CompiledTask | None = None) -> tuple:
         return costs, costs[-1], params.values
 
     processes = min(_process_count(), cfg.restarts) if learnable else 1
-    if processes > 1:  # the children share the merge and the cone orders copy-on-write
+    if processes > 1:  # the children share the merge and its cone orders copy-on-write
         compiled._share()
-        for net in (net for net, queries in zip(compiled.nets, compiled.queries) if queries):
-            _cone(net)
     outcomes = _dealt(restart, cfg.restarts, processes)
     report, best = TrainReport(), None
     for r, (costs, final, values) in enumerate(outcomes):

@@ -327,6 +327,18 @@ def random_gradcheck_instance(rng, family):
     return None
 
 
+def cone_order(net) -> list:
+    """The reference cone order of one network on its own: the ids of
+    the neurons with a parameter in their input cone (an offset, a
+    parameter weight, or such an input), last first; facts have none.
+    `backward` in this order equals `full_backward` bit for bit."""
+    live = []
+    for n in net.neurons:
+        live.append(n.offset_pid is not None or str in map(type, n.weights)
+                    or any(map(live.__getitem__, n.inputs)))
+    return list(itertools.compress(range(len(live) - 1, -1, -1), reversed(live)))
+
+
 def full_backward(net, vm, query_grads, params) -> dict:
     """`lrnn.backward` as a sweep over every neuron, last first: the
     simple version the cone-order sweep must equal bit for bit, in key

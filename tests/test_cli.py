@@ -562,6 +562,22 @@ def test_predict_never_compacts_a_network(tmp_path, monkeypatch):
     assert (rc, merged) == (0, [])
 
 
+def test_predict_ground_and_export_dot_never_work_out_a_cone_order(tmp_path, monkeypatch):
+    # Cone orders serve `backward`, which only training runs.
+    template_path, examples_path, queries_path = _bond_files(tmp_path, 6)
+    assert main(_train_args(tmp_path, template_path, examples_path, queries_path)) == 0
+    passes = []
+    for module in (training, network):
+        monkeypatch.setattr(module, "_sweep_orders", lambda *args: passes.append(args))
+    inputs = ["--template", template_path, "--examples", examples_path]
+    assert main(["predict", *inputs, "--queries", queries_path,
+                 "--params", str(tmp_path / "params.txt"),
+                 "--out", str(tmp_path / "scores.csv")]) == 0
+    assert main(["ground", *inputs, "--out", str(tmp_path / "ground")]) == 0
+    assert main(["export-dot", *inputs, "--out", str(tmp_path / "dot")]) == 0
+    assert passes == []
+
+
 # ---------------------------------------------------------------------------
 # xval
 

@@ -6,15 +6,16 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from lrnn import (Atom, CapacityError, Constant, backward, build, census, export_dot, forward,
-                  ground, parse_examples, parse_template)
+from lrnn import (Atom, CapacityError, CompiledTask, Constant, TrainingTask, ValueMap, backward,
+                  build, census, export_dot, forward, ground, parse_examples, parse_template)
 from lrnn.fixtures import fixture_names
-from lrnn.network import AGG, ATOM, FACT, RULE, _reverse_order, merge
+from lrnn.network import AGG, ATOM, FACT, RULE, _sweep_orders, merge
 
-from helpers import check_dot, grad_bits, load_examples, load_template, merged_forward
+from helpers import (check_dot, grad_bits, load_examples, load_queries, load_template,
+                     merged_forward)
 from molecules import make_bond_dataset
-from oracles import (family_values, full_backward, fuzzy_min_max_values, random_gradcheck_instance,
-                     random_nonrecursive_program)
+from oracles import (cone_order, family_values, full_backward, fuzzy_min_max_values,
+                     random_gradcheck_instance, random_nonrecursive_program)
 
 
 def _atom(pred, *names):
@@ -361,9 +362,12 @@ def test_example_fact_order_does_not_change_values():
 
 
 def _check_merged(nets, params, rng):
-    """The merge against the networks it came from: structure, and under
-    every family each network's online values and gradients."""
+    """The merge against the networks it came from: structure, each
+    network's cone order read off it, and under every family each
+    network's online values and gradients, also in that order."""
     shared, index = merge(nets)
+    orders = _sweep_orders(shared.neurons, index)
+    assert orders == [cone_order(net) for net in nets] == [_own_order(net) for net in nets]
     assert len(shared.neurons) <= sum(len(net.neurons) for net in nets)
     for net, ids in zip(nets, index):
         assert len(ids) == len(net.neurons)
@@ -376,13 +380,14 @@ def _check_merged(nets, params, rng):
             assert (twin.kind, twin.offset_pid, twin.weights) == (n.kind, n.offset_pid, n.weights)
             assert twin.inputs == tuple(ids[s] for s in n.inputs)
     for family in ("godel", "ms", "as"):
-        for net, got in zip(nets, merged_forward(nets, params, family)):
+        for net, order, got in zip(nets, orders, merged_forward(nets, params, family)):
             want = forward(net, params, family)
             # == tells values apart by their bits, except for the sign of a zero.
             assert got.values == want.values, family
             seeds = {atom: rng.uniform(-1.0, 1.0) for atom in net.outputs}
             assert grad_bits(backward(net, got, seeds, params)) == \
                 grad_bits(backward(net, want, seeds, params)), family
+            _check_full_sweep(net, got, seeds, params, order)
 
 
 def test_merged_form_matches_the_networks_on_fixtures():
@@ -424,12 +429,40 @@ def test_merged_form_merges_equal_neurons_within_and_across_networks():
 # The cone order: `backward` against the full sweep
 
 
-def _check_full_sweep(net, vm, seeds, params):
-    """Assert that `backward` equals the full sweep bit for bit and in
-    key order, and return its gradients."""
-    grads = backward(net, vm, seeds, params)
+def _check_full_sweep(net, vm, seeds, params, order=None):
+    """Assert that `backward` (in `order`, when given) equals the full
+    sweep bit for bit and in key order, and return its gradients."""
+    grads = backward(net, vm, seeds, params, order)
     assert grad_bits(grads) == grad_bits(full_backward(net, vm, seeds, params))
     return grads
+
+
+def _own_order(net):
+    """The cone order a four-argument `backward` works out for `net`."""
+    return _sweep_orders(net.neurons, [range(len(net.neurons))])[0]
+
+
+def test_task_reads_each_cone_order_off_its_merge_on_fixtures():
+    for name in fixture_names():
+        for family in ("godel", "ms", "as"):
+            t = load_template(name, family)
+            task = TrainingTask(t, load_examples(name), load_queries(name), family=family)
+            compiled = CompiledTask(task)
+            shared, _rows, parts = compiled._share()
+            rng = random.Random(name + family)
+            params = _drawn_params(t, rng)
+            buffer = [1.0] * len(shared.neurons)
+            for net, queries, part in zip(compiled.nets, compiled.queries, parts):
+                assert (part is None) == (not queries)
+                if part is None:
+                    continue
+                ids, index, order = part
+                assert order == cone_order(net), (name, net.example_id)
+                values = forward(shared, params, family, ids, buffer).values
+                online = ValueMap([values[i] for i in index], family)
+                seeds = {atom: rng.uniform(-1.0, 1.0) for atom in net.outputs}
+                for vm in (forward(net, params, family), online):
+                    _check_full_sweep(net, vm, seeds, params, order)
 
 
 def test_backward_matches_full_sweep_on_fixtures():
@@ -497,7 +530,7 @@ def test_backward_matches_full_sweep_when_a_fact_wins_a_godel_max():
         net = build(ground(t, ex.facts), t)
         vm = forward(net, params, "godel")
         assert vm.output(net, _atom("p")) == (p_value, False)
-        assert net.outputs[_atom("q", "b")] not in _reverse_order(net)
+        assert net.outputs[_atom("q", "b")] not in _own_order(net)
         grads = _check_full_sweep(net, vm, seeds, params)
         assert list(grads) == keys
         assert grads.get("t:1", 0.9) == 0.9
@@ -539,7 +572,7 @@ def test_reverse_order_skips_facts_and_fact_only_atoms_on_a_bond_molecule():
     t = load_template("explosives")
     (ex,), _ = make_bond_dataset(1, seed=1)
     net = build(ground(t, ex.facts), t)
-    order = _reverse_order(net)
+    order = _own_order(net)
     assert order == sorted(order, reverse=True)
     # Every clause of the template is learnable, so the cone is every
     # neuron but the facts and the type and bond atoms they feed.
@@ -554,7 +587,7 @@ def test_reverse_order_holds_a_template_fact_and_all_above():
     t = parse_template("? :: f(a).\n0.5 :: h(X) :- f(X), g(X).\n0.5 :: k :- h(X).", "t")
     (ex,) = parse_examples("#example z\n1.0 :: g(a).\n")
     net = build(ground(t, ex.facts), t)
-    order = _reverse_order(net)
+    order = _own_order(net)
     above, frontier = set(), {net.outputs[_atom("f", "a")]}
     while frontier:  # f(a) and every neuron that reads it, directly or not
         above |= frontier

@@ -23,8 +23,9 @@ from lrnn.training import COST_KINDS
 from helpers import (grad_bits, load_examples, load_queries, load_template, merged_forward,
                      untied_copy)
 from molecules import make_bond_dataset, planted_label
-from oracles import (central_difference, per_example_total_cost, random_gradcheck_instance,
-                     random_nonrecursive_program, randomize_params, rel_close, unshared_merge)
+from oracles import (central_difference, cone_order, per_example_total_cost,
+                     random_gradcheck_instance, random_nonrecursive_program, randomize_params,
+                     rel_close, unshared_merge)
 
 LOG_TWO = 0.6931471805599453
 
@@ -813,50 +814,58 @@ def test_scores_never_compact(monkeypatch):
     assert (len(merged), len(forwards)) == (1, len(examples) + 1)
 
 
-def _count_reverse_orders(monkeypatch):
-    """The network each cone-order build is made for."""
-    built = []
-    real = network._reverse_order
+def _count_sweep_orders(monkeypatch):
+    """The neuron count of the network each cone-order pass reads: the
+    task's merge in `_share`, or the one network of a four-argument
+    `backward`."""
+    passes = []
+    real = network._sweep_orders
 
-    def counting(net):
-        built.append(id(net))
-        return real(net)
+    def counting(neurons, indexes):
+        passes.append(len(neurons))
+        return real(neurons, indexes)
 
-    monkeypatch.setattr(network, "_reverse_order", counting)
-    return built
+    monkeypatch.setattr(network, "_sweep_orders", counting)
+    monkeypatch.setattr(training, "_sweep_orders", counting)
+    return passes
 
 
-def test_train_builds_each_reverse_order_once(monkeypatch):
-    _pin_processes(monkeypatch, 1)  # builds and calls are counted in this process
+@pytest.mark.parametrize("processes", [1, 2])
+def test_train_reads_the_cone_orders_off_its_merge_once(monkeypatch, processes):
+    _pin_processes(monkeypatch, processes)
     template = load_template("explosives")
     examples, queries = make_bond_dataset(6, seed=2)
     queries = [q for q in queries if q.example_id != examples[0].example_id]
     task = TrainingTask(template, examples, queries,
                         TrainConfig(epochs=3, restarts=2, learning_rate=2.0), "ms")
     compiled = CompiledTask(task)
-    built = _count_reverse_orders(monkeypatch)
+    passes = _count_sweep_orders(monkeypatch)
     backwards = _count_calls(monkeypatch, "backward")
     train(task, compiled)
-    # Five queried examples, each swept 3 x 2 times on one kept order.
-    assert len(backwards) == 5 * 3 * 2
-    assert sorted(built) == sorted(id(net) for net in compiled.nets[1:])
-    assert compiled.nets[0]._reverse is None
-    orders = [net._reverse for net in compiled.nets[1:]]
+    # Five queried examples, each swept 3 x 2 times (half of them in a
+    # child when forked) on the orders of one pass over the merge.
+    assert len(backwards) == 5 * 3 * 2 // processes
+    shared, _rows, parts = compiled._shared
+    assert passes == [len(shared.neurons)]
+    assert parts[0] is None
+    orders = [part[2] for part in parts[1:]]
+    assert orders == [cone_order(net) for net in compiled.nets[1:]]
     train(task, compiled)
-    assert len(built) == 5
-    assert all(net._reverse is order for net, order in zip(compiled.nets[1:], orders))
+    assert len(passes) == 1
+    assert all(part[2] is order for part, order in zip(compiled._shared[2][1:], orders))
 
 
-def test_crossvalidate_builds_each_reverse_order_at_most_once(monkeypatch):
+def test_crossvalidate_reads_cone_orders_once_per_trained_task(monkeypatch):
     template = load_template("explosives")
     examples, queries = make_bond_dataset(10, seed=0)
-    built = _count_reverse_orders(monkeypatch)
+    passes = _count_sweep_orders(monkeypatch)
+    merges = _count_merges(monkeypatch)
     backwards = _count_calls(monkeypatch, "backward")
     crossvalidate(template, examples, queries, 5, [0.5, 2.0], [1, 2], 2, 0, "ms")
-    # Every example trains in 4 of the 5 folds, on the one network
-    # `crossvalidate` compiled for it.
+    # One pass per merge: each fold trains its 4 grid points, and
+    # held-out scoring merges nothing and sweeps nothing.
     assert len(backwards) > len(examples)
-    assert 0 < len(built) == len(set(built)) <= len(examples)
+    assert len(passes) == len(merges) == 5 * 4
 
 
 def test_divergence_names_the_parameter_and_epoch():
@@ -1072,7 +1081,7 @@ def test_forked_restarts_equal_in_process_when_restarts_fail(monkeypatch):
         compiled = CompiledTask(task)
         runs.append(_trained_bits(task, compiled))
         _no_child_left()
-        assert compiled.nets[2]._reverse is None
+        assert compiled._shared[2][2] is None  # c has no part, so no cone order
     assert all(run == runs[0] for run in runs)
     assert (len(merges), len(forks)) == (4, 1 + 2 + 3)
     lines = [json.loads(line) for line in runs[0][2].splitlines()]
