@@ -86,8 +86,9 @@ def cmd_ground(args) -> int:
     capacity, instance_rows, stat_rows = _capacity(), [], []
     for ex in examples:
         grounding = ground(template, ex.facts, capacity)
-        # Each atom rendered once: the instances hold the model's own atoms.
-        texts = {id(atom): str(atom) for atom in grounding.model.atoms}
+        # Each atom rendered once: the instances hold the relations' own atoms.
+        texts = {id(atom): str(atom) for rows in grounding.model.relations.values()
+                 for atom in rows.values()}
         for inst in grounding.instances:
             theta = " ".join(f"{v}={c}" for v, c in inst.theta)
             body = ", ".join([texts[id(b)] for b in inst.body])

@@ -26,18 +26,21 @@ yields the same rows in the same order as the scan it replaces.
 Variables occurring only in a clause head (including facts written with
 variables) range over the full constant universe of template + example.
 
-Each ground atom is one object, built once.  An example fact keeps its
-parsed `Atom` (the first one, for a fact given twice); every other row
-of the finished relations gets a new one, over `Constant`s made once per
-pass.  The head and body atoms of every rule instance, and the atoms of
-all ground facts, template and example, are these model objects, looked
-up by (predicate, argument names).
+Each relation maps its rows (argument names) to their `Atom`s, and
+each ground atom is one object, built once.  Example facts seed the
+relations first and keep their parsed `Atom`s (the first one, for a
+fact given twice); every other row gets a new one, over `Constant`s made
+once per pass, when it first appears.  The head and body atoms of every
+rule instance, and the atoms of all ground facts, template and example,
+are these model objects.
 
 One budget, `capacity`, bounds the grounding work: the model may hold
 at most that many atoms, model atoms plus distinct rule instances may
 not exceed it either, and neither may the substitutions of a join step
-before a body's last atom.  `network.build` and `network.census` bound
-each example's neurons by the same budget.
+before a body's last atom.  Example facts are counted together; every
+other atom and every instance is charged when it is made, so the pass
+stops at the first one past the budget.  `network.build` and
+`network.census` bound each example's neurons by the same budget.
 """
 
 import itertools
@@ -51,11 +54,13 @@ DEFAULT_CAPACITY = 10**7
 
 @dataclass(frozen=True, slots=True)
 class HerbrandModel:
-    atoms: frozenset
+    relations: dict  # signature -> {argument names: Atom}
     universe: tuple  # sorted constant names
 
-    def __contains__(self, atom: Atom) -> bool:
-        return atom in self.atoms
+    @property
+    def atoms(self) -> frozenset:
+        """Every atom of the relations, as a set built on each read."""
+        return frozenset(atom for rows in self.relations.values() for atom in rows.values())
 
 
 @dataclass(frozen=True, slots=True)
@@ -70,12 +75,14 @@ class GroundRuleInstance:
 class Grounding:
     """An example's model, active rule instances and weighted facts.
 
-    The model holds exactly the network's atoms: each model atom is a
-    `ground_facts` atom or an instance head.  Equal atoms are one object:
-    every instance head and body atom and every `ground_facts` atom is
-    the model's own.  `network.build` and `network.census` take their
-    atoms from the model, key them by identity and rely on both; a
-    Grounding made by hand must keep them."""
+    The model's relations hold exactly the network's atoms: each is a
+    `ground_facts` atom or an instance head, and each relation maps
+    every row to an Atom of that predicate over those argument names.
+    Equal atoms are one object: every instance head and body atom and
+    every `ground_facts` atom is the relations' own.  `network.build`
+    and `network.census` take their atoms from the relations, key them
+    by identity and rely on all three; a Grounding made by hand must
+    keep them."""
 
     model: HerbrandModel
     instances: tuple  # GroundRuleInstance, ordered by (clause ordinal, theta)
@@ -165,32 +172,29 @@ def _head_expansions(rule: _Rule, subst, universe):
 
 
 def _evaluate(template: Template, example_facts, capacity: int, on_match=None) -> tuple:
-    """The one bottom-up pass: (atoms, model, fact rows).
+    """The one bottom-up pass: (model, ground facts).
 
-    atoms maps (predicate, argument names) to the model's Atom, one per
-    row: an example fact's row keeps the first parsed Atom given for it,
-    and every other row gets a new Atom over Constants made once per
-    pass.  fact rows pairs each fact clause, in template order, with the
-    rows it seeds.  Every new row counts against capacity.  When
-    on_match is given, every match counts as well and is handed over as
-    on_match(rule, substitution, head row) once its head row is in.
-    Matches of one rule are distinct substitutions: they bind distinct
-    rows of sets, then each distinct head-only variable to a constant.
+    Each relation maps its rows to the model's Atoms: an example fact's
+    row keeps the first parsed Atom given for it, and every other row
+    gets a new Atom over Constants made once per pass when it first
+    appears, and counts against capacity then.  ground facts pairs each
+    fact clause's atoms, in template order, with its clause id, then
+    each example fact's atom with its weight.  When on_match is given,
+    every match counts as well and is handed over as on_match(rule,
+    substitution, head Atom) once its head row is in.  Matches of one
+    rule are distinct substitutions: they bind distinct rows of the
+    relations, then each distinct head-only variable to a constant.
     """
     plan = template._plan
     universe = tuple(sorted(plan.constants.union(
         t.name for _, atom in example_facts for t in atom.args)))
+    constants = {name: Constant(name) for name in universe}
 
-    # Fact clauses seed the relations; variable heads expand over the universe.
-    fact_rows = [(c, list(_fact_rows(c, universe))) for c in template.clauses if c.is_fact]
-    relations, atoms = {}, {}
-    for c, rows in fact_rows:
-        relations.setdefault(c.head.signature, set()).update(rows)
-    for _, atom in example_facts:
-        row = tuple([t.name for t in atom.args])
-        relations.setdefault(atom.signature, set()).add(row)
-        atoms.setdefault((atom.pred, row), atom)
-    count = sum(len(rows) for rows in relations.values())
+    relations, given = {}, []
+    for weight, atom in example_facts:
+        rows = relations.setdefault(atom.signature, {})
+        given.append((rows.setdefault(tuple([t.name for t in atom.args]), atom), weight))
+    count = sum(map(len, relations.values()))
     if count > capacity:
         raise CapacityError(count, capacity)
 
@@ -200,30 +204,34 @@ def _evaluate(template: Template, example_facts, capacity: int, on_match=None) -
         if count > capacity:
             raise CapacityError(count, capacity)
 
+    def add(rows, pred, row) -> Atom:
+        """The Atom of row in rows, made and charged when row is new."""
+        atom = rows.get(row)
+        if atom is None:
+            charge()
+            atom = rows[row] = Atom(pred, tuple([constants[n] for n in row]))
+        return atom
+
+    # Fact clauses seed the relations; variable heads expand over the universe.
+    facts = [(add(relations.setdefault(c.head.signature, {}), c.head.pred, row), c.clause_id)
+             for c in template.clauses if c.is_fact for row in _fact_rows(c, universe)]
+    facts.extend(given)
     indexes = {}
     # Bodies before heads: all rules with head p run before any rule reads p.
     for rule in plan.schedule:
-        head = relations.setdefault(rule.head_sig, set())
+        head, pred = relations.setdefault(rule.head_sig, {}), rule.head_sig[0]
         for subst in _join(rule, relations, indexes, capacity):
             for full in _head_expansions(rule, subst, universe):
-                row = _instantiate(rule.head_pat, full)
-                if row not in head:
-                    head.add(row)
-                    charge()
+                atom = add(head, pred, _instantiate(rule.head_pat, full))
                 if on_match is not None:
                     charge()
-                    on_match(rule, full, row)
-    constants = {name: Constant(name) for name in universe}
-    for (pred, _), rows in relations.items():
-        for row in rows:
-            if (pred, row) not in atoms:
-                atoms[pred, row] = Atom(pred, tuple([constants[n] for n in row]))
-    return atoms, HerbrandModel(frozenset(atoms.values()), universe), fact_rows
+                    on_match(rule, full, atom)
+    return HerbrandModel(relations, universe), facts
 
 
 def least_herbrand_model(template: Template, example_facts=(), capacity: int = DEFAULT_CAPACITY) -> HerbrandModel:
     """Stratified bottom-up model of a non-recursive template; capacity bounds its atoms."""
-    return _evaluate(template, example_facts, capacity)[1]
+    return _evaluate(template, example_facts, capacity)[0]
 
 
 def ground(template: Template, example_facts=(), capacity: int = DEFAULT_CAPACITY) -> Grounding:
@@ -233,23 +241,16 @@ def ground(template: Template, example_facts=(), capacity: int = DEFAULT_CAPACIT
     theta), ordered by (clause ordinal, theta); facts come template-first
     in clause order, then example facts in input order.
     """
-    matches = {}  # rule -> [(theta, substitution, head row)]
+    matches = {}  # rule -> [(theta, substitution, head Atom)]
 
-    def keep(rule, full, row):
-        matches.setdefault(rule, []).append((tuple(sorted(full.items())), full, row))
+    def keep(rule, full, head):
+        matches.setdefault(rule, []).append((tuple(sorted(full.items())), full, head))
 
-    table, model, fact_rows = _evaluate(template, example_facts, capacity, keep)
-    instances = []
+    model, facts = _evaluate(template, example_facts, capacity, keep)
+    relations, instances = model.relations, []
     for rule in template._plan.rules.values():
-        head_pred = rule.head_sig[0]
-        for theta, full, row in sorted(matches.get(rule, ()), key=lambda match: match[0]):
-            head = table[head_pred, row]
-            body = tuple([table[pred, _instantiate(pattern, full)]
-                          for pred, pattern in rule.body_pats])
+        for theta, full, head in sorted(matches.get(rule, ()), key=lambda match: match[0]):
+            body = tuple([relations[sig][_instantiate(pattern, full)]
+                          for sig, pattern in rule.body_pats])
             instances.append(GroundRuleInstance(rule.clause_id, theta, head, body))
-
-    ground_facts = [(table[c.head.pred, row], c.clause_id)
-                    for c, rows in fact_rows for row in rows]
-    ground_facts.extend((table[atom.pred, tuple([t.name for t in atom.args])], weight)
-                        for weight, atom in example_facts)
-    return Grounding(model, tuple(instances), tuple(ground_facts))
+    return Grounding(model, tuple(instances), tuple(facts))

@@ -88,13 +88,6 @@ class Atom:
         return f"{self.pred}({','.join(str(t) for t in self.args)})"
 
 
-def ground_atom_key(atom: Atom) -> tuple:
-    """Deterministic sort key for ground atoms: predicate, arity, then
-    each argument name, in one flat tuple, which compares faster than a
-    nested one and orders atoms the same way."""
-    return (atom.pred, len(atom.args), *[t.name for t in atom.args])
-
-
 @dataclass(frozen=True)
 class WeightedClause:
     head: Atom
@@ -251,7 +244,7 @@ class _Rule:
         self.clause_id = clause.clause_id
         self.head_sig = clause.head.signature
         self.head_pat = _compile_pattern(clause.head)
-        self.body_pats = tuple((b.pred, _compile_pattern(b)) for b in clause.body)
+        self.body_pats = tuple((b.signature, _compile_pattern(b)) for b in clause.body)
         # Per body atom: (signature, key positions, key pattern, free
         # (position, variable) slots).  Constants are always key positions.
         self.body = []

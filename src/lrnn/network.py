@@ -19,7 +19,7 @@ Rule and aggregation edges have unit weight and store none.  An atom
 edge's weight is a parameter id (`str`) or a fixed number (`float`).  A
 shared parameter appears at most once on any simple path, so accumulated
 gradients stay exact.  One layout step, shared by `build` and `census`,
-takes an example's atoms from its grounding's model, groups its
+takes an example's atoms from its grounding's relations, groups its
 instances by head and clause and counts its neurons before any neuron
 exists, raising CapacityError when they exceed the grounding budget;
 `census` (the `ground` command's stats) stops there.  Layout and wiring
@@ -27,7 +27,7 @@ key atoms by identity, since a `Grounding` holds one object per
 distinct atom; only `outputs`, which queries read, is keyed by value.
 Neuron order is topological and deterministic: facts first, then
 predicates from the leaves of the template dependency order upward,
-atoms sorted within a predicate.
+each relation's rows (argument names) sorted within its predicate.
 
 Three passes read the format:
 
@@ -65,7 +65,7 @@ from .activations import (AGGREGATION, CONJUNCTION, DISJUNCTION, WEIGHTED_SUM, o
                           winner)
 from .errors import CapacityError
 from .grounding import DEFAULT_CAPACITY, Grounding
-from .logic import Atom, Template, ground_atom_key
+from .logic import Atom, Template
 
 FACT, ATOM, RULE, AGG = 0, 1, 2, 3
 
@@ -97,21 +97,21 @@ class GroundNetwork:
 
 
 def _layout(grounding: Grounding, capacity: int) -> tuple:
-    """(the network's atoms, id(head) -> {clause_id: [instances]} in
+    """(the model's relations, id(head) -> {clause_id: [instances]} in
     encounter order, (atom, fact, rule, agg) neuron counts), before any
     neuron exists; CapacityError when it would hold more than `capacity`.
-    Heads are keyed by identity: a grounding holds one object per
-    distinct atom."""
-    atoms = grounding.model.atoms  # each a fact or the head of an instance
+    The relations' total size is the atom count.  Heads are keyed by
+    identity: a grounding holds one object per distinct atom."""
+    relations = grounding.model.relations  # each atom a fact or the head of an instance
     grouped = {}
     for inst in grounding.instances:
         grouped.setdefault(id(inst.head), {}).setdefault(inst.clause_id, []).append(inst)
     # One neuron per atom, fact, rule instance and (clause, head) pair.
-    counts = (len(atoms), len(grounding.ground_facts), len(grounding.instances),
-              sum(map(len, grouped.values())))
+    counts = (sum(map(len, relations.values())), len(grounding.ground_facts),
+              len(grounding.instances), sum(map(len, grouped.values())))
     if sum(counts) > capacity:
         raise CapacityError(sum(counts), capacity, "neurons per network")
-    return atoms, grouped, counts
+    return relations, grouped, counts
 
 
 def census(grounding: Grounding, capacity: int = DEFAULT_CAPACITY) -> tuple:
@@ -123,9 +123,11 @@ def census(grounding: Grounding, capacity: int = DEFAULT_CAPACITY) -> tuple:
 def build(grounding: Grounding, template: Template, example_id: str | None = None,
           capacity: int = DEFAULT_CAPACITY) -> GroundNetwork:
     """The example's network, from one `_layout` (the step `census` stops
-    after); CapacityError when it would hold more than `capacity` neurons."""
+    after); CapacityError when it would hold more than `capacity` neurons.
+    Signatures are sorted once by (rank, signature), and each relation's
+    rows as plain tuples of names."""
     rank, rules = template._plan.rank, template._plan.rules
-    atoms, grouped, _ = _layout(grounding, capacity)
+    relations, grouped, _ = _layout(grounding, capacity)
     neurons, ids = [], {}  # ids: id(atom) -> its atom neuron
 
     def emit(kind, origin, inputs=(), weights=(), offset_pid=None) -> int:
@@ -138,20 +140,22 @@ def build(grounding: Grounding, template: Template, example_id: str | None = Non
 
     # Example-only predicates (rank 0) are pure leaves and go first;
     # template predicates go by stratum rank, bodies before heads.
-    for atom in sorted(atoms, key=lambda a: (rank.get(a.signature, 0), *ground_atom_key(a))):
-        agg_inputs, agg_weights, offset = [], [], None
-        for clause_id, insts in grouped.get(id(atom), {}).items():
-            rule = rules[clause_id]
-            origin = (clause_id, atom)
-            rule_ids = [emit(RULE, origin, [ids[id(b)] for b in inst.body], (), rule.conj)
-                        for inst in insts]
-            agg_inputs.append(emit(AGG, origin, rule_ids))
-            agg_weights.append(clause_id)
-            offset = rule.disj  # one per head signature
-        for fact_id, weight in facts_by_atom.get(id(atom), ()):
-            agg_inputs.append(fact_id)
-            agg_weights.append(weight)
-        ids[id(atom)] = emit(ATOM, atom, agg_inputs, agg_weights, offset)
+    for sig in sorted(relations, key=lambda sig: (rank.get(sig, 0), sig)):
+        rows = relations[sig]
+        for atom in map(rows.__getitem__, sorted(rows)):
+            agg_inputs, agg_weights, offset = [], [], None
+            for clause_id, insts in grouped.get(id(atom), {}).items():
+                rule = rules[clause_id]
+                origin = (clause_id, atom)
+                rule_ids = [emit(RULE, origin, [ids[id(b)] for b in inst.body], (), rule.conj)
+                            for inst in insts]
+                agg_inputs.append(emit(AGG, origin, rule_ids))
+                agg_weights.append(clause_id)
+                offset = rule.disj  # one per head signature
+            for fact_id, weight in facts_by_atom.get(id(atom), ()):
+                agg_inputs.append(fact_id)
+                agg_weights.append(weight)
+            ids[id(atom)] = emit(ATOM, atom, agg_inputs, agg_weights, offset)
 
     outputs = {neurons[nid].origin: nid for nid in ids.values()}
     return GroundNetwork(neurons, outputs, example_id)

@@ -52,6 +52,12 @@ def substitutions(variables, universe):
         yield dict(zip(variables, (Constant(c) for c in combo)))
 
 
+def ground_atom_key(atom: Atom) -> tuple:
+    """Reference sort key for ground atoms: predicate, arity, then each
+    argument name."""
+    return (atom.pred, len(atom.args), *[t.name for t in atom.args])
+
+
 def naive_model(template, example_facts):
     """Least fixpoint by brute force: re-derive everything each round."""
     universe = universe_of(template, example_facts)

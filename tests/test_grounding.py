@@ -86,7 +86,7 @@ def test_multi_round_chain_derivation():
                        "1.0 :: p3(X) :- p2(X), p0(X).", "chain")
     facts = ((1.0, _atom("p0", "a")),)
     model = least_herbrand_model(t, facts)
-    assert _atom("p3", "a") in model
+    assert _atom("p3", "a") in model.atoms
     assert len(model.atoms) == 4
 
 
@@ -120,14 +120,14 @@ def test_constants_inside_rules_join():
     t = parse_template("1.0 :: q(X) :- p(X,a).", "src")
     facts = ((1.0, _atom("p", "b", "a")), (1.0, _atom("p", "b", "c")))
     model = least_herbrand_model(t, facts)
-    assert _atom("q", "b") in model
+    assert _atom("q", "b") in model.atoms
     assert len([a for a in model.atoms if a.pred == "q"]) == 1
 
 
 def test_zero_weight_fact_still_derives():
     t = parse_template("1.0 :: q(X) :- p(X).", "src")
     model = least_herbrand_model(t, ((0.0, _atom("p", "a")),))
-    assert _atom("q", "a") in model
+    assert _atom("q", "a") in model.atoms
 
 
 def test_duplicate_example_fact_atoms_keep_both_weights():
@@ -312,7 +312,7 @@ def test_ground_joins_each_rule_clause_once(monkeypatch):
 def test_recursive_template_rejected_by_grounding():
     t = parse_template("1.0 :: p(X) :- q(X).\n1.0 :: q(X) :- p(X).", "src")
     facts = ((1.0, _atom("p", "a")),)
-    empty = grounding.Grounding(grounding.HerbrandModel(frozenset(), ()), (), ())
+    empty = grounding.Grounding(grounding.HerbrandModel({}, ()), (), ())
     # Twice each: a failed stratum order is not cached.
     for fn in (ground, least_herbrand_model, ground, lambda t, _: build(empty, t)):
         with pytest.raises(RecursiveTemplateError) as exc:
@@ -370,10 +370,11 @@ def test_every_instance_is_active():
     for seed in range(20):
         template, facts = random_nonrecursive_program(random.Random(seed))
         g = ground(template, facts)
+        atoms = g.model.atoms
         for inst in g.instances:
-            assert inst.head in g.model
+            assert inst.head in atoms
             for b in inst.body:
-                assert b in g.model
+                assert b in atoms
 
 
 def test_grounding_is_deterministic():
@@ -401,6 +402,27 @@ def test_capacity_generous_enough_passes():
     t = parse_template("? :: f(X,Y).\n1.0 :: p(a).\n1.0 :: p(b).", "src")
     model = least_herbrand_model(t, capacity=6)
     assert len(model.atoms) == 6
+
+
+def test_capacity_stops_a_template_fact_at_its_first_row_past_the_budget(monkeypatch):
+    # f(X,Y,Z) ranges over 60 constants: 216,000 rows, of which the pass
+    # makes only those up to the first one past the budget.
+    t = parse_template("? :: f(X,Y,Z).\n" + "".join(f"1.0 :: c(k{i}).\n" for i in range(60)),
+                       "src")
+    rows = []
+    real_instantiate = grounding._instantiate
+
+    def counting_instantiate(pattern, subst):
+        rows.append(1)
+        return real_instantiate(pattern, subst)
+
+    monkeypatch.setattr(grounding, "_instantiate", counting_instantiate)
+    for run in (ground, least_herbrand_model):
+        rows.clear()
+        with pytest.raises(CapacityError) as exc:
+            run(t, capacity=1000)
+        assert (exc.value.cap, exc.value.count) == (1000, 1001)
+        assert len(rows) <= 1001
 
 
 def test_capacity_counts_model_atoms_plus_instances():

@@ -15,7 +15,7 @@ from helpers import (check_dot, grad_bits, load_examples, load_queries, load_tem
                      merged_forward)
 from molecules import make_bond_dataset
 from oracles import (cone_order, family_values, full_backward, fuzzy_min_max_values,
-                     random_gradcheck_instance, random_nonrecursive_program)
+                     ground_atom_key, random_gradcheck_instance, random_nonrecursive_program)
 
 
 def _atom(pred, *names):
@@ -305,6 +305,41 @@ def test_census_counts_what_build_builds_on_fixtures():
 def test_census_counts_what_build_builds_on_drawn_programs(rng, weighted_facts):
     template, facts, _params = _drawn_program(rng, weighted_facts)
     _check_census(ground(template, facts), template)
+
+
+def _check_atom_order(g, template):
+    """Each relation maps every row to that row's own Atom, and `build`
+    lays the atoms out in the reference order: stratum rank (0 for an
+    example-only predicate), then the oracle's key."""
+    for (pred, arity), rows in g.model.relations.items():
+        for row, atom in rows.items():
+            assert (atom.pred, len(atom.args)) == (pred, arity)
+            assert all(type(t) is Constant for t in atom.args)
+            assert tuple(t.name for t in atom.args) == row
+    rank = template._plan.rank
+    want = sorted(g.model.atoms, key=lambda a: (rank.get(a.signature, 0), *ground_atom_key(a)))
+    net = build(g, template)
+    assert [n.origin for n in net.neurons if n.kind == ATOM] == want
+
+
+# Example-only predicates (rank 0), given in reverse order of signature.
+_LEAVES = ((1.0, _atom("leaf_c", "a")), (1.0, _atom("leaf_b")), (1.0, _atom("leaf_a", "a", "b")))
+
+
+def test_atom_order_is_the_reference_order_on_fixtures():
+    for name in fixture_names():
+        for family in ("godel", "ms", "as"):
+            t = load_template(name, family)
+            for ex in load_examples(name):
+                _check_atom_order(ground(t, ex.facts), t)
+                _check_atom_order(ground(t, _LEAVES + ex.facts[::-1]), t)
+
+
+@given(rng=st.randoms(use_true_random=False), weighted_facts=st.booleans())
+def test_atom_order_is_the_reference_order_on_drawn_programs(rng, weighted_facts):
+    template, facts, _params = _drawn_program(rng, weighted_facts)
+    _check_atom_order(ground(template, facts), template)
+    _check_atom_order(ground(template, _LEAVES + facts[::-1]), template)
 
 
 def test_bright_edges_pinned_value():
