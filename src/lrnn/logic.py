@@ -177,10 +177,9 @@ def parse_params(text: str, base: ParameterStore, source: str = "params") -> Par
         if pid in seen:
             raise ParseError(f"parameter {pid!r} is given twice", source, lineno, 1)
         seen.add(pid)
-        try:
-            value = float(decimal)
-        except ValueError:
-            raise ParseError(f"malformed decimal {decimal!r}", source, lineno, 1) from None
+        if not _DECIMAL.fullmatch(decimal):  # `float` alone also reads `1_0`, `+1`, `.5`, `5.`
+            raise ParseError(f"malformed decimal {decimal!r}", source, lineno, 1)
+        value = float(decimal)
         if not math.isfinite(value):
             raise ParseError(f"parameter {pid!r} is not finite: {decimal!r}", source, lineno, 1)
         params[pid] = value
@@ -325,15 +324,16 @@ def check_nonrecursive(template: Template) -> tuple:
 
 _BARE_CONST = re.compile(r"[a-z][A-Za-z0-9_]*\Z")
 _HEADER = re.compile(r"#example[ \t]+([A-Za-z0-9_.\-]+)[ \t]*\Z")
+_DECIMAL = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")  # a weight or a parameter value
 
 # One token per match, after blanks and "%" comments.  A word is a
 # letter then letters, digits or "_" (checked with str.isalpha, which no
 # regex class expresses); anything else matches the empty `bad` group,
 # and _Parser.token names the fault from the character found there.
-_TOKEN = re.compile(r"""(?:[ \t\n]|%[^\n]*)*(?:
+_TOKEN = re.compile(rf"""(?:[ \t\n]|%[^\n]*)*(?:
       (?P<header>\#[^\n%]*)
     | (?P<punct>::|:-|[(),.?])
-    | (?P<number>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+    | (?P<number>{_DECIMAL.pattern})
     | (?P<qconst>'(?:[^'\\\n]|\\[\s\S])*')
     | (?P<word>[^\W\d_]\w*)
     | (?P<eof>\Z)

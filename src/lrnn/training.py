@@ -18,8 +18,10 @@ non-finite is skipped and noted in the report.
 A restart depends only on its seed, so `train` deals the restarts of a
 task with something learnable to as many processes as it has CPUs, on
 forked copies of the compiled task (where it can fork and no other
-thread runs), and merges their outcomes in restart order: the same
-bytes, or the same exception, on any number of CPUs.
+thread runs), and merges their outcomes in restart order.  Only
+outcomes come back: `train` runs again, in its own process, each
+restart that raised or whose process ended without a reply, so the
+same bytes, or the same exception, come out on any number of CPUs.
 """
 
 import hashlib
@@ -280,30 +282,28 @@ def _process_count() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _run(restart, group) -> tuple:
-    """(the outcomes of `group`'s restarts, None), or (them up to the
-    first that raised and None after, (that restart, its exception, its
-    traceback))."""
-    outcomes = [None] * len(group)
-    for i, r in enumerate(group):
-        try:
-            outcomes[i] = restart(r)
-        except Exception as err:
-            import traceback  # only a failing restart pays for the import
-            return outcomes, (r, err, traceback.format_exc())
-    return outcomes, None
-
-
 def _dealt(restart, restarts: int, processes: int) -> list:
     """`[restart(r) for r in range(restarts)]`, dealt round robin to
     `processes` groups: this process runs group 0 and forks a child per
-    other group.  A child sends back marshal(`_run`), its failure
-    pickled, and ends with `os._exit`; an exception that does not
-    survive a pickle round trip comes back as a RuntimeError naming its
-    type and message.  As in one process, the lowest-numbered failing
-    restart's exception is raised, a child's with its traceback text as
-    the cause.  No child outlives the call."""
-    outcomes, reads, pids = [None] * restarts, [], []
+    other group.  A group runs its restarts up to the first that raises;
+    a child sends back marshal(their outcomes) and ends with `os._exit`.
+    Once every child has replied or ended, this process runs, in restart
+    order, each restart with no outcome: one that raised, or one whose
+    child ended without a reply.  A restart depends only on its seed, so
+    a lost one gives the same bytes here, and the lowest-numbered failing
+    one raises its own exception, as in one process.  No child outlives
+    the call."""
+
+    def run(group) -> dict:
+        done = {}
+        for r in range(group, restarts, processes):
+            try:
+                done[r] = restart(r)
+            except Exception:  # raised again, in order, below
+                break
+        return done
+
+    reads, pids = [], []
     try:
         for group in range(1, processes):
             import signal  # only a forking call pays for the import; `finally` kills with it
@@ -313,47 +313,25 @@ def _dealt(restart, restarts: int, processes: int) -> list:
                 pid = os.fork()
                 if pid == 0:
                     try:
-                        done, failed = _run(restart, range(group, restarts, processes))
-                        if failed is not None:
-                            import pickle  # only a failing child pays for the import
-                            try:
-                                sent = pickle.dumps(failed)
-                                pickle.loads(sent)  # it must also come back
-                            except Exception:  # sent as its type name and message
-                                r, err, text = failed
-                                stand_in = RuntimeError(f"{type(err).__name__}: {err}")
-                                sent = pickle.dumps((r, stand_in, text))
-                            failed = sent
-                        out.write(marshal.dumps((done, failed)))
+                        out.write(marshal.dumps(run(group)))
                         out.flush()
                         os._exit(0)
                     finally:
                         os._exit(1)
                 pids.append(pid)
-        outcomes[::processes], first = _run(restart, range(0, restarts, processes))
-        for group, read in enumerate(reads, 1):
-            if first is not None and first[0] < group:
-                break  # this group's restarts, and later groups', all come after it
+        outcomes = run(0)
+        for read in reads:
             with open(read, "rb", closefd=False) as pipe:
                 reply = pipe.read()
-            if not reply:  # as if its first restart failed: no later group's can come first
-                lost = list(range(group, restarts, processes))
-                raise RuntimeError(f"the process running restarts {lost} ended without a reply")
-            outcomes[group::processes], failed = marshal.loads(reply)
-            if failed is not None:
-                import pickle
-                failed = pickle.loads(failed)
-                failed[1].__cause__ = RuntimeError(f"raised in a forked process:\n{failed[2]}")
-                first = failed if first is None else min(first, failed)  # by restart
-        if first is not None:
-            raise first[1]
-        return outcomes
+            if reply:
+                outcomes.update(marshal.loads(reply))
     finally:
         for read in reads:
             os.close(read)
         for pid in pids:
             os.kill(pid, signal.SIGKILL)  # a child that has replied is already ending
             os.waitpid(pid, 0)
+    return [outcomes[r] if r in outcomes else restart(r) for r in range(restarts)]
 
 
 def train(task: TrainingTask, compiled: CompiledTask | None = None) -> tuple:

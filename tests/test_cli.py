@@ -289,12 +289,22 @@ def test_params_repeated_id_rejected(tmp_path):
     assert rc == 2
 
 
-def test_params_malformed_line_rejected():
+def test_params_malformed_line_rejected(tmp_path):
     template = _cli_template("explosives")
     with pytest.raises(ParseError):
         parse_params("param template.lrnn:0 1.0\n", template.params)
     with pytest.raises(ParseError):
         parse_params("param template.lrnn:0 = oops\n", template.params)
+    params = tmp_path / "params.txt"
+    for value in ("1_0", "+1", ".5", "5."):  # `float` reads each; the template grammar does not
+        params.write_text(f"param template.lrnn:0 = {value}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="malformed decimal"):
+            parse_params(params.read_text(encoding="utf-8"), _cli_template("family").params)
+        rc = main(["predict", "--template", str(FAMILY / "template.lrnn"),
+                   "--examples", str(FAMILY / "examples.lrnn"),
+                   "--queries", str(FAMILY / "queries.lrnn"), "--params", str(params),
+                   "--out", str(tmp_path / "scores.csv")])
+        assert rc == 2
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e400"])

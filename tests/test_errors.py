@@ -1,5 +1,5 @@
-"""Package errors survive a pickle round trip: a forked training process
-hands its error back to the parent that way."""
+"""Package errors survive a pickle round trip, so a caller's own process
+pool (multiprocessing, concurrent.futures) hands them back intact."""
 
 import pickle
 
