@@ -18,16 +18,19 @@ Four neuron kinds, wired bottom-up:
 Rule and aggregation edges have unit weight and store none.  An atom
 edge's weight is a parameter id (`str`) or a fixed number (`float`).  A
 shared parameter appears at most once on any simple path, so accumulated
-gradients stay exact.  One layout step, shared by `build` and `census`,
-takes an example's atoms from its grounding's relations, groups its
-instances by head and clause and counts its neurons before any neuron
-exists, raising CapacityError when they exceed the grounding budget;
-`census` (the `ground` command's stats) stops there.  Layout and wiring
-key atoms by identity, since a `Grounding` holds one object per
-distinct atom; only `outputs`, which queries read, is keyed by value.
-Neuron order is topological and deterministic: facts first, then
-predicates from the leaves of the template dependency order upward,
-each relation's rows (argument names) sorted within its predicate.
+gradients stay exact.  A `Neuron` holds only what it computes, the key
+`merge` hashes; `export_dot` reads what it stands for off `outputs` and
+the wiring, so it draws a built network, not a merge.  One layout step,
+shared by `build` and `census`, takes an example's atoms from its
+grounding's relations, groups its instances by head and clause and
+counts its neurons before any neuron exists, raising CapacityError when
+they exceed the grounding budget; `census` (the `ground` command's
+stats) stops there.  Layout and wiring key atoms by identity, since a
+`Grounding` holds one object per distinct atom; only `outputs`, which
+queries read, is keyed by value.  Neuron order is topological and
+deterministic: facts first, then predicates from the leaves of the
+template dependency order upward, each relation's rows (argument names)
+sorted within its predicate.
 
 Three passes read the format:
 
@@ -73,7 +76,6 @@ FACT, ATOM, RULE, AGG = 0, 1, 2, 3
 @dataclass(slots=True)
 class Neuron:
     kind: int
-    origin: object  # Atom (fact, atom) or (clause_id, head Atom) (rule, agg)
     inputs: tuple = ()  # neuron ids, evaluation order
     weights: tuple = ()  # atom only: parameter id or number, parallel to inputs
     offset_pid: str | None = None  # conj offset (rule) or disj offset (atom)
@@ -128,15 +130,15 @@ def build(grounding: Grounding, template: Template, example_id: str | None = Non
     rows as plain tuples of names."""
     rank, rules = template._plan.rank, template._plan.rules
     relations, grouped, _ = _layout(grounding, capacity)
-    neurons, ids = [], {}  # ids: id(atom) -> its atom neuron
+    neurons, ids, outputs = [], {}, {}  # ids: id(atom) -> its atom neuron
 
-    def emit(kind, origin, inputs=(), weights=(), offset_pid=None) -> int:
-        neurons.append(Neuron(kind, origin, tuple(inputs), tuple(weights), offset_pid))
+    def emit(kind, inputs=(), weights=(), offset_pid=None) -> int:
+        neurons.append(Neuron(kind, tuple(inputs), tuple(weights), offset_pid))
         return len(neurons) - 1
 
     facts_by_atom = {}
     for atom, weight in grounding.ground_facts:
-        facts_by_atom.setdefault(id(atom), []).append((emit(FACT, atom), weight))
+        facts_by_atom.setdefault(id(atom), []).append((emit(FACT), weight))
 
     # Example-only predicates (rank 0) are pure leaves and go first;
     # template predicates go by stratum rank, bodies before heads.
@@ -146,18 +148,15 @@ def build(grounding: Grounding, template: Template, example_id: str | None = Non
             agg_inputs, agg_weights, offset = [], [], None
             for clause_id, insts in grouped.get(id(atom), {}).items():
                 rule = rules[clause_id]
-                origin = (clause_id, atom)
-                rule_ids = [emit(RULE, origin, [ids[id(b)] for b in inst.body], (), rule.conj)
+                rule_ids = [emit(RULE, [ids[id(b)] for b in inst.body], (), rule.conj)
                             for inst in insts]
-                agg_inputs.append(emit(AGG, origin, rule_ids))
+                agg_inputs.append(emit(AGG, rule_ids))
                 agg_weights.append(clause_id)
                 offset = rule.disj  # one per head signature
             for fact_id, weight in facts_by_atom.get(id(atom), ()):
                 agg_inputs.append(fact_id)
                 agg_weights.append(weight)
-            ids[id(atom)] = emit(ATOM, atom, agg_inputs, agg_weights, offset)
-
-    outputs = {neurons[nid].origin: nid for nid in ids.values()}
+            ids[id(atom)] = outputs[atom] = emit(ATOM, agg_inputs, agg_weights, offset)
     return GroundNetwork(neurons, outputs, example_id)
 
 
@@ -279,7 +278,7 @@ def merge(nets) -> tuple:
             nid = table.get(key)
             if nid is None:
                 nid = table[key] = len(neurons)
-                neurons.append(Neuron(n.kind, n.origin, key[1], n.weights, n.offset_pid))
+                neurons.append(Neuron(*key))
             ids.append(nid)
         index.append(ids)
     return GroundNetwork(neurons, {}), index
@@ -292,24 +291,22 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _label(net: GroundNetwork, neuron: Neuron) -> str:
-    if neuron.kind == RULE:
-        # A rule neuron's inputs are its body atoms' neurons, in body order.
-        body = ", ".join(str(net.neurons[src].origin) for src in neuron.inputs)
-        return f"{neuron.origin[1]} :- {body}"
-    if neuron.kind == AGG:
-        return f"{neuron.origin[0]} => {neuron.origin[1]}"
-    return str(neuron.origin)
-
-
 def export_dot(net: GroundNetwork) -> str:
     """Graphviz text: node shape encodes the neuron kind, node labels
     show what each neuron stands for, edge labels carry parameter ids
     (shared weights) or non-unit numbers."""
+    neurons, labels = net.neurons, {}
+    for atom, nid in net.outputs.items():  # body atoms before their heads
+        labels[nid] = head = str(atom)
+        for src, w in zip(neurons[nid].inputs, neurons[nid].weights):
+            # A fact, or an aggregation on an edge weighted by its clause id.
+            labels[src] = head if neurons[src].kind == FACT else f"{w} => {head}"
+            for rule in neurons[src].inputs:  # none for a fact; a rule's are its body atoms
+                labels[rule] = head + " :- " + ", ".join(labels[b] for b in neurons[rule].inputs)
     lines = ["digraph ground_network {"]
-    for nid, neuron in enumerate(net.neurons):
-        lines.append(f"  n{nid} [shape={_SHAPES[neuron.kind]}, label={_quote(_label(net, neuron))}];")
-    for nid, neuron in enumerate(net.neurons):
+    for nid, neuron in enumerate(neurons):
+        lines.append(f"  n{nid} [shape={_SHAPES[neuron.kind]}, label={_quote(labels[nid])}];")
+    for nid, neuron in enumerate(neurons):
         for src, w in zip_longest(neuron.inputs, neuron.weights, fillvalue=1.0):
             if w == 1.0:
                 lines.append(f"  n{src} -> n{nid};")

@@ -75,7 +75,7 @@ def untied_copy(net, params):
     for n in net.neurons:
         weights = tuple(fresh(w) if type(w) is str else w for w in n.weights)
         offset = fresh(n.offset_pid) if n.offset_pid is not None else None
-        neurons.append(Neuron(n.kind, n.origin, n.inputs, weights, offset))
+        neurons.append(Neuron(n.kind, n.inputs, weights, offset))
     store = ParameterStore(values, frozenset(learnable))
     copy = GroundNetwork(neurons, dict(net.outputs), net.example_id)
     return copy, store, mapping

@@ -407,7 +407,7 @@ def unshared_merge(nets) -> tuple:
     neurons, index = [], []
     for net in nets:
         base = len(neurons)
-        neurons += [Neuron(n.kind, n.origin, tuple(base + s for s in n.inputs), n.weights,
-                           n.offset_pid) for n in net.neurons]
+        neurons += [Neuron(n.kind, tuple(base + s for s in n.inputs), n.weights, n.offset_pid)
+                    for n in net.neurons]
         index.append(list(range(base, len(neurons))))
     return GroundNetwork(neurons, {}), index

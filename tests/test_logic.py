@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from lrnn import (Atom, Constant, ParseError, RecursiveTemplateError, Variable,
                   WeightedClause, check_nonrecursive, make_template,
-                  parse_examples, parse_queries, parse_template, render_clause,
+                  parse_examples, parse_params, parse_queries, parse_template, render_clause,
                   render_examples, render_template)
 
 from helpers import load_template
@@ -178,6 +178,10 @@ def test_parse_unicode_words_and_digits():
     assert c.weight == 3.0
     assert c.head == Atom("é", (Constant("ü"), Variable("Ñame"), Constant("一")))
     assert c.body == (Atom("b_2", (Constant("x\ny"),)),)
+    # A decimal's digits are any Unicode decimal digits, as letters are any Unicode letters.
+    t = parse_template("١.٥ :: p(X) :- q(X).\n", "t")
+    assert t.params["t:0"] == 1.5
+    assert parse_params("param t:0 = ٢\n", t.params)["t:0"] == 2.0
 
 
 _GRAMMAR_PIECES = st.sampled_from([

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -287,11 +288,12 @@ def test_a_network_keeps_the_parsed_example_fact_atoms():
         t = load_template(name)
         for ex in load_examples(name):
             net = build(ground(t, ex.facts), t)
-            facts = [n for n in net.neurons if n.kind == FACT]
-            for neuron, (_, atom) in zip(facts[len(facts) - len(ex.facts):], ex.facts,
-                                         strict=True):
-                assert neuron.origin is atom
-                assert net.neurons[net.outputs[atom]].origin is atom
+            keys = {atom: atom for atom in net.outputs}
+            facts = [nid for nid, n in enumerate(net.neurons) if n.kind == FACT]
+            for fact_id, (_, atom) in zip(facts[len(facts) - len(ex.facts):], ex.facts,
+                                          strict=True):
+                assert keys[atom] is atom
+                assert fact_id in net.neurons[net.outputs[atom]].inputs
 
 
 def test_census_counts_what_build_builds_on_fixtures():
@@ -319,7 +321,7 @@ def _check_atom_order(g, template):
     rank = template._plan.rank
     want = sorted(g.model.atoms, key=lambda a: (rank.get(a.signature, 0), *ground_atom_key(a)))
     net = build(g, template)
-    assert [n.origin for n in net.neurons if n.kind == ATOM] == want
+    assert sorted(net.outputs, key=net.outputs.__getitem__) == want
 
 
 # Example-only predicates (rank 0), given in reverse order of signature.
@@ -441,6 +443,14 @@ def test_merged_form_matches_the_networks_on_drawn_programs(rng, weighted_facts)
     template, facts, params = _drawn_program(rng, weighted_facts)
     subsets = [facts] + [tuple(f for f in facts if rng.random() < 0.7) for _ in range(2)]
     _check_merged([build(ground(template, fs), template) for fs in subsets], params, rng)
+
+
+def test_merged_neurons_do_not_depend_on_the_merge_order():
+    # Equal structure over different constants: the merged neurons carry
+    # nothing of either example.
+    t = parse_template("? :: h :- p(X), q(X).", "src")
+    na, nb = (build(ground(t, ((1.0, _atom("p", c)), (1.0, _atom("q", c)))), t) for c in "xy")
+    assert merge([na, nb])[0].neurons == merge([nb, na])[0].neurons
 
 
 def test_merged_form_merges_equal_neurons_within_and_across_networks():
@@ -675,3 +685,36 @@ def test_export_dot_labels_const_weights():
     net = build(ground(t, ((0.7, _atom("p", "a")),)), t)
     text = export_dot(net)
     assert "0.7" in text
+
+
+_DOT_NODE = re.compile(r'^  n\d+ \[shape=(\w+), label="((?:[^"\\]|\\.)*)"\];$')
+
+
+def _check_dot_labels(g, template):
+    """Per node shape, `export_dot`'s labels are, as a multiset, those
+    rendered straight from the grounding: each model atom, each ground
+    fact's atom, each (clause, head) pair and each rule instance."""
+    got = {}
+    for line in export_dot(build(g, template)).splitlines():
+        node = _DOT_NODE.match(line)
+        if node:
+            got.setdefault(node[1], []).append(re.sub(r"\\(.)", r"\1", node[2]))
+    want = {"ellipse": [str(atom) for atom in g.model.atoms],
+            "box": [str(atom) for atom, _ in g.ground_facts],
+            "trapezium": [f"{c} => {h}" for c, h in {(i.clause_id, i.head) for i in g.instances}],
+            "diamond": [f"{i.head} :- {', '.join(map(str, i.body))}" for i in g.instances]}
+    assert {shape: sorted(labels) for shape, labels in got.items()} == \
+        {shape: sorted(labels) for shape, labels in want.items() if labels}
+
+
+def test_export_dot_labels_what_each_neuron_stands_for_on_fixtures():
+    for name in fixture_names():
+        t = load_template(name)
+        for ex in load_examples(name):
+            _check_dot_labels(ground(t, ex.facts), t)
+
+
+@given(rng=st.randoms(use_true_random=False), weighted_facts=st.booleans())
+def test_export_dot_labels_what_each_neuron_stands_for_on_drawn_programs(rng, weighted_facts):
+    template, facts, _params = _drawn_program(rng, weighted_facts)
+    _check_dot_labels(ground(template, facts), template)
