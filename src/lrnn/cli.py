@@ -40,7 +40,7 @@ from .training import (COST_KINDS, SQUARED_SIGMOID, CompiledTask, TrainConfig, T
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ParseError(f"cannot read file: {err}", str(path))
 
 

@@ -339,19 +339,32 @@ _TOKEN = re.compile(rf"""(?:[ \t\n]|%[^\n]*)*(?:
     | (?P<eof>\Z)
     | (?P<bad>))""", re.VERBOSE)
 _ESCAPE = re.compile(r"\\([\s\S])")
+# The bulk of example and query files, a plain fact after its weight:
+# `:: p(a, b).`, each word starting with an ASCII lowercase letter (so it
+# lexes as one whole `ident`), blanks between tokens and no comment.  It
+# reads what the tokens would; anything else, errors too, goes by tokens.
+_FACT = re.compile(r"""[ \t\n]*::[ \t\n]*([a-z]\w*)
+    (?:[ \t\n]*\([ \t\n]*([a-z]\w*(?:[ \t\n]*,[ \t\n]*[a-z]\w*)*)[ \t\n]*\))?
+    [ \t\n]*\.""", re.VERBOSE)
 _PUNCT = {"::": "weightsep", ":-": "implies", "(": "lparen", ")": "rparen",
           ",": "comma", ".": "dot", "?": "qmark"}
 
 
 class _Parser:
-    """Recursive descent over (kind, value, offset) tokens, one lookahead."""
+    """Recursive descent over (kind, value, offset) tokens, one lookahead.
+    A plain fact after its weight (`:: p(a, b).`, bare words) is read with
+    one match of `_FACT`, everything else token by token."""
 
     def __init__(self, text: str, source: str, allow_headers: bool):
         self.text = text.replace("\r\n", "\n")
         self.source = source
         self.allow_headers = allow_headers
+        self.constants = {}  # name -> this parse's one Constant of that name
         self.pos = 0
         self.tok = self.token()
+
+    def constant(self, name: str) -> Constant:
+        return self.constants.get(name) or self.constants.setdefault(name, Constant(name))
 
     def error(self, msg: str, i: int):
         """Raise at offset i, as a 1-based line and column."""
@@ -417,7 +430,7 @@ class _Parser:
         kind, value, i = self.tok
         if kind in ("ident", "qconst"):
             self._shift()
-            return Constant(value)
+            return self.constant(value)
         if kind == "var":
             self._shift()
             return Variable(value)
@@ -430,6 +443,13 @@ class _Parser:
             self._shift()
             weight = None
         elif kind == "number":
+            fact = _FACT.match(self.text, self.pos)
+            if fact:  # pos and tok end up where _expect("dot") leaves them
+                self.pos = fact.end()
+                self.tok = self.token()
+                names = fact[2].split(",") if fact[2] else ()
+                args = tuple([self.constant(n.strip(" \t\n")) for n in names])
+                return value, Atom(fact[1], args), ()
             self._shift()
             weight = value
         else:

@@ -112,6 +112,16 @@ def test_missing_file_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_file_that_is_not_utf8_exits_2_and_names_it(tmp_path, capsys):
+    examples = tmp_path / "latin1.lrnn"
+    examples.write_bytes(b"\xff")
+    rc = main(["ground", "--template", str(FAMILY / "template.lrnn"),
+               "--examples", str(examples), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"error: {examples}: cannot read file: 'utf-8' codec can't decode byte 0xff" \
+        in capsys.readouterr().err
+
+
 def test_capacity_env_small_exits_4(tmp_path, monkeypatch):
     monkeypatch.setenv("LRNN_CAPACITY", "2")
     rc = main(["ground", "--template", str(FAMILY / "template.lrnn"),

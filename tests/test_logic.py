@@ -1,20 +1,27 @@
 """Parser, renderer, AST, parameter store and recursion checks."""
 
+import importlib.util
 import math
+import re
+from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from lrnn import (Atom, Constant, ParseError, RecursiveTemplateError, Variable,
+from lrnn import (Atom, Constant, Example, ParseError, QueryRow, RecursiveTemplateError, Variable,
                   WeightedClause, check_nonrecursive, make_template,
                   parse_examples, parse_params, parse_queries, parse_template, render_clause,
                   render_examples, render_template)
+from lrnn import logic
+from lrnn.fixtures import fixture_names, fixture_text
 
 from helpers import load_template
 from oracles import apply, random_nonrecursive_program
 
 import random
 
+ROOT = Path(__file__).resolve().parents[1]
 
 # ---------------------------------------------------------------------------
 # Template parsing
@@ -162,6 +169,22 @@ PARSE_ERRORS = [
     (parse_template, "\t1.0 ::\tp(a)\t&", "1:14: unexpected character '&'"),
     (parse_template, "% one\n  % two\n1.0 :: p(a) :- .\n", "3:16: expected a predicate name (lowercase)"),
     (parse_template, "1.0 :: p('a\\\nb'), q.", "2:4: expected '.'"),
+    # statements that look like plain facts but are read token by token
+    (parse_examples, "#example e1\n1.0 :: p(a, ).", "2:13: expected a constant or variable"),
+    (parse_examples, "#example e1\n1.0 :: P(a).", "2:8: expected a predicate name (lowercase)"),
+    (parse_examples, "#example e1\n1.0 :: p(A).", "2:1: example fact p(A) is not ground"),
+    (parse_examples, "#example e1\n1.0 :: p(a) :- q.",
+     "2:1: examples may contain only facts (no ':-' bodies)"),
+    (parse_examples, "#example e1\n1.0 :: p(½).", "2:10: unexpected character '½'"),
+    (parse_examples, "#example e1\n1.0 :: p(a)", "2:12: expected '.'"),
+    (parse_queries, "#example q1\n1.0 :: p(a, ).", "2:13: expected a constant or variable"),
+    (parse_queries, "#example q1\n1.0 :: P(a).", "2:8: expected a predicate name (lowercase)"),
+    (parse_queries, "#example q1\n1.0 :: p(A).", "2:1: query p(A) is not ground"),
+    (parse_queries, "#example q1\n1.0 :: p(a) :- q.",
+     "2:1: queries may contain only atoms (no ':-' bodies)"),
+    (parse_queries, "#example q1\n1.0 :: p(½).", "2:10: unexpected character '½'"),
+    (parse_queries, "#example q1\n1.0 :: p(a)", "2:12: expected '.'"),
+    (parse_queries, "#example q1\n2 :: p(a).", "2:1: query target 2.0 for p(a) is outside [0, 1]"),
 ]
 
 
@@ -197,6 +220,107 @@ def test_any_text_parses_or_raises_positioned_parse_error(text):
             parse(text, "src")
         except ParseError as err:
             assert err.line >= 1 and err.col >= 1
+
+
+# The one-match read of a plain fact against the token path: every text
+# must parse, or fail, the same with the fact pattern switched off.
+
+
+def _outcome(parse, text):
+    """What a parse gives: its result's repr, or its error's message and position."""
+    try:
+        result = parse(text, "src")
+    except ParseError as err:
+        return ("ParseError", str(err), err.source, err.line, err.col)
+    return repr(result.clauses if parse is parse_template else result)
+
+
+def _check_fact_pattern_changes_nothing(text):
+    """Parse `text` with and without the one-match read of plain facts."""
+    fast = [_outcome(parse, text) for parse in (parse_template, parse_examples, parse_queries)]
+    with mock.patch.object(logic, "_FACT", re.compile(r"(?!)")):
+        slow = [_outcome(parse, text) for parse in (parse_template, parse_examples, parse_queries)]
+    assert fast == slow
+
+
+_BLANK = st.sampled_from(["", " ", "\t", "\n", "\r\n", "  \n\t"])
+_NEAR_MISSES = [
+    "\r", "\x0c", "\x85", "\u3000", "% c\n", "",  # odd blanks, a comment, nothing
+    ":", ":-", ":- q(X)", ".", ",", "(", ")", "?", "&",
+    "P", "X", "_x", "é", "Ärger", "a½", "½", "²", "'a'", "'a b'", "'it\\'s'", "p%q\n",
+    "2", "-0.5", "5e-1", "1e400", "٣"]
+_PLAIN_FACT = ["1.0", "::", "p", "(", "a", ",", "b", ")", "."]
+
+
+def _near_miss_texts():
+    """The plain fact with one token replaced by a near miss or preceded by one."""
+    for i, token in enumerate(_PLAIN_FACT):
+        for miss in _NEAR_MISSES:
+            for new in (miss, miss + token):
+                for blank in ("", " "):
+                    yield blank.join([*_PLAIN_FACT[:i], new, *_PLAIN_FACT[i + 1:]])
+
+
+def test_fact_pattern_reads_each_near_miss_as_the_tokens_do():
+    for text in _near_miss_texts():
+        _check_fact_pattern_changes_nothing(text)
+        _check_fact_pattern_changes_nothing("#example e1\n" + text)
+
+
+@st.composite
+def _fact_statements(draw):
+    """`w :: p(a, b).` with drawn blanks; now and then a token is replaced
+    by a near miss or has one put in front of it."""
+    names = draw(st.lists(st.sampled_from(["p", "a", "a1", "bond_2", "xY"]), min_size=1, max_size=4))
+    tokens = [draw(st.sampled_from(["1.0", "0", "1", "0.5", "-0"])), "::", names[0]]
+    if len(names) > 1:
+        tokens += ["(", names[1], *[t for name in names[2:] for t in (",", name)], ")"]
+    tokens.append(".")
+    for i, token in enumerate(tokens):
+        if draw(st.integers(0, 9)) == 0:
+            tokens[i] = draw(st.sampled_from(_NEAR_MISSES)) + draw(st.sampled_from(["", token]))
+    return "".join(draw(_BLANK) + t for t in tokens)
+
+
+_PIECES = st.one_of(
+    _fact_statements(), _fact_statements(), _BLANK,
+    st.sampled_from(["#example e1\n", "#example e2 % c\n", "#example e1\r\n", "#example\n",
+                     "\n% c\n", "?", "'", "&"]))
+
+
+@settings(max_examples=300)
+@given(st.lists(_PIECES, max_size=12).map("".join))
+def test_fact_pattern_reads_what_the_tokens_read(text):
+    _check_fact_pattern_changes_nothing(text)
+    _check_fact_pattern_changes_nothing("#example e1\n" + text)
+
+
+@pytest.mark.parametrize("name", fixture_names())
+def test_fact_pattern_reads_fixtures_as_the_tokens_do(name):
+    for filename in ("template.lrnn", "examples.lrnn", "queries.lrnn"):
+        _check_fact_pattern_changes_nothing(fixture_text(name, filename))
+
+
+@pytest.mark.parametrize("generate", ["bond_molecules", "random_graphs", "chain_molecules"])
+def test_fact_pattern_reads_benchmark_inputs_as_the_tokens_do(generate):
+    spec = importlib.util.spec_from_file_location("gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    inputs = getattr(gen, generate)(61)
+    for text in (inputs.template, inputs.examples, inputs.queries):
+        _check_fact_pattern_changes_nothing(text)
+
+
+def test_commented_fact_reads_as_tokens():
+    text = "#example e1\n1.0 :: p(a % c\n)."
+    assert parse_examples(text) == [Example("e1", ((1.0, Atom("p", (Constant("a"),))),))]
+    assert parse_queries(text) == [QueryRow("e1", Atom("p", (Constant("a"),)), 1.0)]
+
+
+def test_one_constant_object_per_name():
+    (ex,) = parse_examples("#example e1\n1.0 :: b(a1, a2).\n1.0 :: b(a2,'a1').\n1.0 :: p(a2) .\n")
+    (_, b12), (_, b21), (_, p2) = ex.facts
+    assert b12.args[0] is b21.args[1] and b12.args[1] is b21.args[0] is p2.args[0]
 
 
 # ---------------------------------------------------------------------------
