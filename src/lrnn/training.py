@@ -6,22 +6,26 @@ weights move at once by w <- w - lr * grad, written straight into the
 store's values.  The first online step (or `train`, before it forks)
 merges the queried examples' networks and keeps per example its part:
 its merged ids, the merged id of each of its neurons, and its
-network's cone order, read off the merge.  Each step runs `forward`
-over the example's merged ids and `backward` over its own network, in
-that order.  The epoch cost sums `CompiledTask.scores`; with nothing
-learnable `train` prices the task once for every epoch.  Restarts
-redraw the learnable weights from Uniform(init_range) with seeds derived
-from the master seed, and the restart with the lowest final training
-cost wins; a restart whose parameters, final cost or final scores go
-non-finite is skipped and noted in the report.
+network's cone order, read off the merge.  The merge depends only on
+the task's networks and queries, so one compiled task may be trained
+under several configs in turn (as `crossvalidate` does per fold).  Each
+step runs `forward` over the example's merged ids and `backward` over
+its own network, in that order.  The epoch cost sums
+`CompiledTask.scores`; with nothing learnable `train` prices the task
+once for every epoch.  Restarts redraw the learnable weights from
+Uniform(init_range) with seeds derived from the master seed, and the
+restart with the lowest final training cost wins; a restart whose
+parameters, final cost or final scores go non-finite is skipped and
+noted in the report.
 
 A restart depends only on its seed, so `train` deals the restarts of a
 task with something learnable to as many processes as it has CPUs, on
 forked copies of the compiled task (where it can fork and no other
 thread runs), and merges their outcomes in restart order.  Only
 outcomes come back: `train` runs again, in its own process, each
-restart that raised or whose process ended without a reply, so the
-same bytes, or the same exception, come out on any number of CPUs.
+restart that raised, whose process ended without a reply or could not
+be forked, so the same bytes, or the same exception, come out on any
+number of CPUs.
 """
 
 import hashlib
@@ -31,7 +35,7 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .activations import CONJUNCTION, operations, sigmoid
 from .errors import AllRestartsFailedError, DivergenceError
@@ -149,7 +153,10 @@ class CompiledTask:
 
     `nets` (example id -> network, as from `compile_networks`) lets tasks
     over the same examples share networks; without it the task's
-    examples are grounded here.
+    examples are grounded here.  The merge depends only on the networks
+    and the queries, not on `task.config`, so one compiled task may be
+    trained under several configs in turn, with `task.config` set before
+    each `train`.
 
     `scores` alone chooses how the task is priced, and `total_cost` sums
     its rows.  It builds no merge: a one-shot pass (predict, held-out
@@ -291,8 +298,9 @@ def _dealt(restart, restarts: int, processes: int) -> list:
     order, each restart with no outcome: one that raised, or one whose
     child ended without a reply.  A restart depends only on its seed, so
     a lost one gives the same bytes here, and the lowest-numbered failing
-    one raises its own exception, as in one process.  No child outlives
-    the call."""
+    one raises its own exception, as in one process.  When a pipe or a
+    fork fails, no more children are forked: the groups left have no
+    outcome and run here.  No child outlives the call."""
 
     def run(group) -> dict:
         done = {}
@@ -307,18 +315,21 @@ def _dealt(restart, restarts: int, processes: int) -> list:
     try:
         for group in range(1, processes):
             import signal  # only a forking call pays for the import; `finally` kills with it
-            read, write = os.pipe()
-            reads.append(read)
-            with open(write, "wb") as out:  # the parent's end closes after the fork
-                pid = os.fork()
-                if pid == 0:
-                    try:
-                        out.write(marshal.dumps(run(group)))
-                        out.flush()
-                        os._exit(0)
-                    finally:
-                        os._exit(1)
-                pids.append(pid)
+            try:
+                read, write = os.pipe()
+                reads.append(read)
+                with open(write, "wb") as out:  # the parent's end closes after the fork
+                    pid = os.fork()
+                    if pid == 0:
+                        try:
+                            out.write(marshal.dumps(run(group)))
+                            out.flush()
+                            os._exit(0)
+                        finally:
+                            os._exit(1)
+            except OSError:  # no process or pipe to spare: the groups left run here
+                break
+            pids.append(pid)
         outcomes = run(0)
         for read in reads:
             with open(read, "rb", closefd=False) as pipe:
@@ -413,8 +424,10 @@ def crossvalidate(template: Template, examples, queries, k: int, lr_grid, restar
     ties broken by the best restart's final cost, then grid order).
     Held-out targets are read only for the final fold evaluation; all
     target reads go through `target_reader(row, fold, purpose)` so tests
-    can verify that.  Each example is grounded once; every fold and grid
-    point reuses its network.
+    can verify that.  The grid is validated before any grounding.  Each
+    example is grounded once; every fold and grid point reuses its
+    network.  A fold has one compiled task, trained under each grid
+    point's config in turn, so its merge is built once for them all.
     """
     reader = target_reader or (lambda row, fold, purpose: row.target)
     folds = make_folds([ex.example_id for ex in examples], k, seed)
@@ -424,22 +437,19 @@ def crossvalidate(template: Template, examples, queries, k: int, lr_grid, restar
     for q in queries:
         if q.example_id not in folds:
             raise ValueError(f"query references unknown example {q.example_id!r}")
+    grid = [TrainConfig(learning_rate=lr, epochs=epochs, restarts=restarts, cost_kind=cost_kind)
+            for lr in lr_grid for restarts in restarts_grid]
     nets = compile_networks(template, examples, capacity)
-    grid = [(lr, rs) for lr in lr_grid for rs in restarts_grid]
     results = []
     for fold in range(k):
         train_examples = [ex for ex in examples if folds[ex.example_id] != fold]
         held_examples = [ex for ex in examples if folds[ex.example_id] == fold]
-        train_rows = [q for q in queries if folds[q.example_id] != fold]
-        held_rows = [q for q in queries if folds[q.example_id] == fold]
-        best = None
-        for gi, (lr, restarts) in enumerate(grid):
-            cfg = TrainConfig(learning_rate=lr, epochs=epochs, restarts=restarts,
-                              seed=derive_seed(seed, "fold", fold, "cfg", gi),
-                              cost_kind=cost_kind)
-            rows = [QueryRow(q.example_id, q.atom, reader(q, fold, "train")) for q in train_rows]
-            task = TrainingTask(template, train_examples, rows, cfg, family)
-            compiled = CompiledTask(task, nets)
+        rows = [QueryRow(q.example_id, q.atom, reader(q, fold, "train"))
+                for q in queries if folds[q.example_id] != fold]
+        task = TrainingTask(template, train_examples, rows, family=family)
+        compiled, best = CompiledTask(task, nets), None
+        for gi, cfg in enumerate(grid):
+            task.config = replace(cfg, seed=derive_seed(seed, "fold", fold, "cfg", gi))
             try:
                 params, report = train(task, compiled)
             except AllRestartsFailedError:
@@ -451,7 +461,8 @@ def crossvalidate(template: Template, examples, queries, k: int, lr_grid, restar
                 best = (key, params)
         if best is None:
             raise AllRestartsFailedError(f"every grid point diverged on fold {fold}")
-        rows = [QueryRow(q.example_id, q.atom, reader(q, fold, "test")) for q in held_rows]
+        rows = [QueryRow(q.example_id, q.atom, reader(q, fold, "test"))
+                for q in queries if folds[q.example_id] == fold]
         held = CompiledTask(TrainingTask(template, held_examples, rows, family=family), nets)
         pairs = [(score, q.target) for q, score, _missing in held.scores(best[1])]
         results.append((fold, zero_one_error(pairs)))

@@ -643,6 +643,24 @@ def test_xval_empty_grid_exits_2(tmp_path, capsys, option, value, name):
     assert f"{name} is empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--lr-grid", "-1", "learning_rate must be a finite number >= 0"),
+    ("--restarts-grid", "0", "restarts must be >= 1"),
+    ("--epochs", "0", "epochs must be >= 1"),
+])
+def test_xval_bad_grid_exits_2_before_grounding(tmp_path, capsys, monkeypatch, option, value,
+                                                message):
+    template, examples, queries = _bond_files(tmp_path, 4)
+    grounded, real = [], training.ground
+    monkeypatch.setattr(training, "ground", lambda *args: grounded.append(1) or real(*args))
+    rc = main(["xval", "--template", template, "--examples", examples,
+               "--queries", queries, "--folds", "2", option, value,
+               "--out", str(tmp_path / "folds.csv")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert grounded == []
+
+
 def test_xval_runs_and_is_deterministic(tmp_path, capsys):
     template, examples, queries = _bond_files(tmp_path, 8)
     runs = []

@@ -1,5 +1,6 @@
 """Cost functions, reverse-mode gradients, SGD, restarts, prediction."""
 
+import errno
 import json
 import math
 import os
@@ -15,8 +16,9 @@ from lrnn import (FAMILIES, AllRestartsFailedError, Atom, CompiledTask, Constant
                   compile_networks, cost, crossvalidate, derive_seed, forward, ground,
                   parse_examples, parse_template, sgd_epoch, sigmoid, train, zero_one_error)
 from lrnn import network, training
+from lrnn.cli import main
 from lrnn.errors import CapacityError, ParseError, RecursiveTemplateError
-from lrnn.fixtures import fixture_names
+from lrnn.fixtures import fixture_dir, fixture_names
 from lrnn.logic import Example, QueryRow
 from lrnn.training import COST_KINDS
 
@@ -781,6 +783,42 @@ def test_train_merges_the_queried_networks_once(monkeypatch):
     assert merged == [[id(net) for net in compiled.nets[1:]]]
 
 
+def _config_bits(task, compiled):
+    """`train`'s parameter bits, its JSONL report and the bits of the
+    scores under its parameters, or the error it raised."""
+    try:
+        params, report = train(task, compiled)
+    except AllRestartsFailedError as err:
+        return repr(err)
+    scores = [(q.example_id, str(q.atom), y.hex(), missing)
+              for q, y, missing in compiled.scores(params)]
+    return [(pid, params[pid].hex()) for pid in params], report.jsonl(), scores
+
+
+@pytest.mark.parametrize("processes", [1, 2])
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("name", fixture_names())
+def test_one_compiled_task_trains_under_each_config_as_a_fresh_one(monkeypatch, name, family,
+                                                                   processes):
+    # A merge depends only on its task's networks and queries, so one
+    # compiled task serves every config, as each fold's does in xval.
+    _pin_processes(monkeypatch, processes)
+    template = load_template(name, family)
+    examples, queries = load_examples(name), load_queries(name)
+    configs = [TrainConfig(learning_rate=2.0, epochs=3, restarts=2, seed=7),
+               TrainConfig(learning_rate=0.5, epochs=3, restarts=3, seed=1),
+               TrainConfig(learning_rate=5.0, epochs=2, restarts=1, seed=7,
+                           cost_kind="cross_entropy")]
+    task = TrainingTask(template, examples, queries, family=family)
+    compiled, shared = CompiledTask(task), []
+    for cfg in configs:
+        task.config = cfg
+        fresh = TrainingTask(template, examples, queries, cfg, family)
+        assert _config_bits(task, compiled) == _config_bits(fresh, CompiledTask(fresh)), cfg
+        shared.append(compiled._shared)
+    assert all(merge is shared[0] for merge in shared)  # built once, or never
+
+
 def test_crossvalidate_merges_once_per_trained_task(monkeypatch):
     template = load_template("explosives")
     examples, queries = make_bond_dataset(10, seed=0)
@@ -794,9 +832,11 @@ def test_crossvalidate_merges_once_per_trained_task(monkeypatch):
 
     monkeypatch.setattr(training, "train", recording_train)
     crossvalidate(template, examples, queries, 5, [0.5, 2.0], [1, 2], 2, 0, "ms")
-    # Every bond example is queried, so each merge is over its task's networks.
+    # Each fold trains its one task at 4 grid points and merges it on the
+    # first; every bond example is queried, so a merge is over its task's
+    # networks.
     assert len(tasks) == 5 * 2 * 2
-    assert merged == tasks
+    assert merged == tasks[::4]
 
 
 def test_scores_never_compact(monkeypatch):
@@ -862,10 +902,11 @@ def test_crossvalidate_reads_cone_orders_once_per_trained_task(monkeypatch):
     merges = _count_merges(monkeypatch)
     backwards = _count_calls(monkeypatch, "backward")
     crossvalidate(template, examples, queries, 5, [0.5, 2.0], [1, 2], 2, 0, "ms")
-    # One pass per merge: each fold trains its 4 grid points, and
-    # held-out scoring merges nothing and sweeps nothing.
+    # One pass per merge and one merge per fold: each fold trains its one
+    # task at its 4 grid points, and held-out scoring merges nothing and
+    # sweeps nothing.
     assert len(backwards) > len(examples)
-    assert len(passes) == len(merges) == 5 * 4
+    assert len(passes) == len(merges) == 5
 
 
 def test_divergence_names_the_parameter_and_epoch():
@@ -1140,6 +1181,41 @@ def test_a_restart_whose_child_ends_without_a_reply_runs_here(monkeypatch):
         _no_child_left()
     assert runs[1] == runs[0]
     assert len(forks) == 2
+
+
+@pytest.mark.parametrize("call, code", [("fork", errno.EAGAIN), ("pipe", errno.EMFILE)])
+def test_a_failed_fork_leaves_the_groups_left_to_this_process(monkeypatch, tmp_path, capsys,
+                                                              call, code):
+    # With 3 processes every second `os.fork` (or `os.pipe`) fails: group
+    # 1 runs in its child, groups 0 and 2 here.
+    fx = fixture_dir("explosives")
+    args = ["train", "--template", str(fx / "template.lrnn"), "--examples",
+            str(fx / "examples.lrnn"), "--queries", str(fx / "queries.lrnn"), "--epochs", "5"]
+    task = _tiny_task(restarts=3, epochs=2, seed=5)
+    _pin_processes(monkeypatch, 1)
+    want = _trained_bits(task)
+    assert main([*args, "--out-params", str(tmp_path / "one.txt"),
+                 "--report", str(tmp_path / "one.jsonl")]) == 0
+    real, calls = getattr(os, call), []
+
+    def failing():
+        calls.append(call)
+        if len(calls) % 2 == 0:
+            raise OSError(code, os.strerror(code))
+        return real()
+
+    monkeypatch.setattr(os, call, failing)
+    forks = _count_forks(monkeypatch)
+    _pin_processes(monkeypatch, 3)
+    assert _trained_bits(task) == want
+    _no_child_left()
+    assert main([*args, "--out-params", str(tmp_path / "all.txt"),
+                 "--report", str(tmp_path / "all.jsonl")]) == 0
+    _no_child_left()
+    assert (len(calls), len(forks)) == (4, 2)
+    assert capsys.readouterr().err == ""
+    for one, all_ in (("one.txt", "all.txt"), ("one.jsonl", "all.jsonl")):
+        assert (tmp_path / one).read_bytes() == (tmp_path / all_).read_bytes()
 
 
 def _failing_restarts(monkeypatch, task, errors):
