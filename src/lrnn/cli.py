@@ -24,13 +24,13 @@ import os
 import sys
 from pathlib import Path
 
-from .activations import FAMILIES, MAX_SIGMOID
+from .activations import FAMILIES
 from .errors import CapacityError, LrnnError, ParseError, RecursiveTemplateError
 from .grounding import DEFAULT_CAPACITY, ground
 from .logic import parse_examples, parse_params, parse_queries, parse_template, render_params
 from .network import build, census, export_dot
-from .training import (COST_KINDS, SQUARED_SIGMOID, CompiledTask, TrainConfig, TrainingTask,
-                       crossvalidate, train, zero_one_error)
+from .training import (COST_KINDS, CompiledTask, TrainConfig, TrainingTask, crossvalidate, train,
+                       zero_one_error)
 
 
 # ---------------------------------------------------------------------------
@@ -58,9 +58,11 @@ def _capacity() -> int:
 
 
 def _load_inputs(args):
+    """The template, the examples and, for a command that takes them, the queries."""
     template = parse_template(_read(args.template), Path(args.template).name)
     examples = parse_examples(_read(args.examples), Path(args.examples).name)
-    return template, examples
+    path = getattr(args, "queries", None)
+    return template, examples, path and parse_queries(_read(path), Path(path).name)
 
 
 def _check_outputs(*paths):
@@ -80,7 +82,7 @@ def _write_csv(path, header, rows):
 
 
 def cmd_ground(args) -> int:
-    template, examples = _load_inputs(args)
+    template, examples, _ = _load_inputs(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     capacity, instance_rows, stat_rows = _capacity(), [], []
@@ -110,8 +112,7 @@ def _train_config(args) -> TrainConfig:
 
 def cmd_train(args) -> int:
     _check_outputs(args.out_params, args.report)
-    template, examples = _load_inputs(args)
-    queries = parse_queries(_read(args.queries), Path(args.queries).name)
+    template, examples, queries = _load_inputs(args)
     task = TrainingTask(template, examples, queries, _train_config(args),
                         args.family, _capacity())
     compiled = CompiledTask(task)
@@ -128,8 +129,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     _check_outputs(args.out)
-    template, examples = _load_inputs(args)
-    queries = parse_queries(_read(args.queries), Path(args.queries).name)
+    template, examples, queries = _load_inputs(args)
     params = template.params
     if args.params:
         params = parse_params(_read(args.params), params, Path(args.params).name)
@@ -152,8 +152,7 @@ def cmd_predict(args) -> int:
 
 def cmd_xval(args) -> int:
     _check_outputs(args.out)
-    template, examples = _load_inputs(args)
-    queries = parse_queries(_read(args.queries), Path(args.queries).name)
+    template, examples, queries = _load_inputs(args)
     results = crossvalidate(template, examples, queries, args.folds, args.lr_grid,
                             args.restarts_grid, args.epochs, args.seed, args.family,
                             args.cost, _capacity())
@@ -165,7 +164,7 @@ def cmd_xval(args) -> int:
 
 
 def cmd_export_dot(args) -> int:
-    template, examples = _load_inputs(args)
+    template, examples, _ = _load_inputs(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     capacity = _capacity()
@@ -191,13 +190,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lrnn", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    cfg = TrainConfig()  # the training defaults, written once there
 
-    def add_common(p, family=True):
+    def add_common(p, family=True, queries=None, training=False):
+        """Options shared by subcommands; `queries` is the query file's help."""
         p.add_argument("--template", required=True, help="template file")
         p.add_argument("--examples", required=True, help="example set file")
-        if family:
-            p.add_argument("--family", choices=FAMILIES, default=MAX_SIGMOID,
-                           help=f"activation family (default {MAX_SIGMOID})")
+        if family:  # unset, `TrainingTask` takes the template's: ms for a parsed file
+            p.add_argument("--family", choices=FAMILIES,
+                           help="activation family (default: the template's, ms)")
+        if queries:
+            p.add_argument("--queries", required=True, help=queries)
+        if training:
+            p.add_argument("--epochs", type=int, default=cfg.epochs)
+            p.add_argument("--seed", type=int, default=cfg.seed)
+            p.add_argument("--cost", choices=COST_KINDS, default=cfg.cost_kind)
 
     p = sub.add_parser("ground", help="write instance lists and neuron stats")
     add_common(p, family=False)
@@ -205,15 +212,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_ground)
 
     p = sub.add_parser("train", help="fit learnable parameters")
-    add_common(p)
-    p.add_argument("--queries", required=True, help="query file with targets")
-    p.add_argument("--lr", type=float, default=0.5)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--restarts", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--init-range", type=float, nargs=2, default=(-1.0, 1.0),
+    add_common(p, queries="query file with targets", training=True)
+    p.add_argument("--lr", type=float, default=cfg.learning_rate)
+    p.add_argument("--restarts", type=int, default=cfg.restarts)
+    p.add_argument("--init-range", type=float, nargs=2, default=cfg.init_range,
                    metavar=("LO", "HI"))
-    p.add_argument("--cost", choices=COST_KINDS, default=SQUARED_SIGMOID)
     p.add_argument("--freeze-offsets", action="store_true",
                    help="keep conjunction/disjunction offsets at their initial values")
     p.add_argument("--out-params", required=True, help="parameter file to write")
@@ -221,23 +224,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("predict", help="score query atoms")
-    add_common(p)
-    p.add_argument("--queries", required=True, help="query file (targets ignored)")
+    add_common(p, queries="query file (targets ignored)")
     p.add_argument("--params", help="parameter file from train")
     p.add_argument("--out", help="output CSV (default stdout)")
     p.set_defaults(fn=cmd_predict)
 
     p = sub.add_parser("xval", help="k-fold cross-validation")
-    add_common(p)
-    p.add_argument("--queries", required=True, help="query file with targets")
+    add_common(p, queries="query file with targets", training=True)
     p.add_argument("--folds", type=int, required=True)
-    p.add_argument("--lr-grid", type=_comma_floats, default=[0.5],
-                   help="comma-separated learning rates (default 0.5)")
-    p.add_argument("--restarts-grid", type=_comma_ints, default=[3],
-                   help="comma-separated restart counts (default 3)")
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cost", choices=COST_KINDS, default=SQUARED_SIGMOID)
+    p.add_argument("--lr-grid", type=_comma_floats, default=[cfg.learning_rate],
+                   help=f"comma-separated learning rates (default {cfg.learning_rate})")
+    p.add_argument("--restarts-grid", type=_comma_ints, default=[cfg.restarts],
+                   help=f"comma-separated restart counts (default {cfg.restarts})")
     p.add_argument("--out", required=True, help="per-fold error CSV to write")
     p.set_defaults(fn=cmd_xval)
 

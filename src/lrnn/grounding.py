@@ -55,7 +55,6 @@ DEFAULT_CAPACITY = 10**7
 @dataclass(frozen=True, slots=True)
 class HerbrandModel:
     relations: dict  # signature -> {argument names: Atom}
-    universe: tuple  # sorted constant names
 
     @property
     def atoms(self) -> frozenset:
@@ -226,7 +225,7 @@ def _evaluate(template: Template, example_facts, capacity: int, on_match=None) -
                 if on_match is not None:
                     charge()
                     on_match(rule, full, atom)
-    return HerbrandModel(relations, universe), facts
+    return HerbrandModel(relations), facts
 
 
 def least_herbrand_model(template: Template, example_facts=(), capacity: int = DEFAULT_CAPACITY) -> HerbrandModel:

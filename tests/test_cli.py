@@ -3,11 +3,14 @@
 import csv
 import json
 import math
+import re
+from dataclasses import replace
 
 import pytest
 
-from lrnn import (Atom, CompiledTask, Example, QueryRow, TrainingTask, compile_networks,
-                  crossvalidate, make_folds, parse_params, render_params)
+from lrnn import (Atom, CompiledTask, Example, QueryRow, TrainConfig, TrainingTask,
+                  compile_networks, crossvalidate, derive_seed, make_folds, parse_params,
+                  render_params)
 from lrnn import cli, grounding, network, training
 from lrnn.cli import main
 from lrnn.errors import ParseError
@@ -315,6 +318,21 @@ def test_params_malformed_line_rejected(tmp_path):
                    "--queries", str(FAMILY / "queries.lrnn"), "--params", str(params),
                    "--out", str(tmp_path / "scores.csv")])
         assert rc == 2
+
+
+@pytest.mark.parametrize("line, message", [
+    ("x = 1.0", "expected 'param <id> = <decimal>'"),
+    ("param nosuch:9 = 1.0", "unknown parameter id 'nosuch:9'"),
+    ("param template.lrnn:1 = 2.0", "parameter 'template.lrnn:1' is given twice"),
+    ("param template.lrnn:0 = 1_0", "malformed decimal '1_0'"),
+    ("param template.lrnn:0 = 1e400", "parameter 'template.lrnn:0' is not finite: '1e400'"),
+])
+def test_params_error_message_and_position(line, message):
+    # Each error names the line it is on, at column 1.
+    text = f"% comment\nparam template.lrnn:1 = 0.5\n{line}\nparam template.lrnn:2 = 0.5\n"
+    with pytest.raises(ParseError) as exc:
+        parse_params(text, _cli_template("explosives").params)
+    assert str(exc.value) == f"params:3:1: {message}"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e400"])
@@ -697,6 +715,10 @@ def test_make_folds_properties():
         make_folds(ids[:2], 3, seed=0)
 
 
+def test_make_folds_takes_as_many_folds_as_examples():
+    assert sorted(make_folds(["a", "b", "c"], 3, seed=0).values()) == [0, 1, 2]
+
+
 def test_held_out_targets_only_read_for_final_evaluation(tmp_path):
     examples, queries = make_bond_dataset(8, seed=2)
     template = _cli_template("explosives")
@@ -806,11 +828,125 @@ def test_unwritable_output_is_found_before_any_work(tmp_path, capsys, monkeypatc
 # argument plumbing
 
 
-def test_help_exits_zero(capsys):
+# Each subcommand with every option it takes.
+_OPTIONS = {
+    "ground": "--template --examples --out",
+    "train": "--template --examples --family --queries --epochs --seed --cost --lr --restarts "
+             "--init-range --freeze-offsets --out-params --report",
+    "predict": "--template --examples --family --queries --params --out",
+    "xval": "--template --examples --family --queries --epochs --seed --cost --folds --lr-grid "
+            "--restarts-grid --out",
+    "export-dot": "--template --examples --out",
+}
+
+
+@pytest.mark.parametrize("command", [None, *_OPTIONS], ids=["lrnn", *_OPTIONS])
+def test_help_exits_zero(capsys, command):
     with pytest.raises(SystemExit) as exc:
-        main(["--help"])
+        main([command, "--help"] if command else ["--help"])
     assert exc.value.code == 0
-    assert "ground" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    if command is None:
+        assert all(name in out for name in _OPTIONS)
+    else:
+        assert out.startswith(f"usage: lrnn {command} ")
+        assert set(re.findall(r"--[a-z-]+", out)) == {"--help", *_OPTIONS[command].split()}
+
+
+# Each subcommand with every option it requires.
+_REQUIRED = {
+    "ground": ["--template", "--examples", "--out"],
+    "train": ["--template", "--examples", "--queries", "--out-params"],
+    "predict": ["--template", "--examples", "--queries"],
+    "xval": ["--template", "--examples", "--queries", "--folds", "--out"],
+    "export-dot": ["--template", "--examples", "--out"],
+}
+
+
+def test_required_options_table_is_complete():
+    subparsers = cli.build_parser()._subparsers._group_actions[0]
+    assert subparsers.required
+    assert {name: [opt for a in p._actions if a.required for opt in a.option_strings]
+            for name, p in subparsers.choices.items()} == _REQUIRED
+
+
+@pytest.mark.parametrize("command, option", [(command, option) for command, options in
+                                             _REQUIRED.items() for option in options])
+def test_missing_required_option_exits_2(capsys, command, option):
+    argv = [command]
+    for name in _REQUIRED[command]:
+        if name != option:
+            argv += [name, "2" if name == "--folds" else "x"]  # never read: parsing fails first
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: lrnn ") and f"required: {option}" in err
+
+
+def test_missing_subcommand_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: lrnn ") and "required: command" in err
+
+
+@pytest.mark.parametrize("command", ["ground", "export-dot"])
+def test_ground_and_export_dot_take_no_family(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--template", str(FAMILY / "template.lrnn"),
+              "--examples", str(FAMILY / "examples.lrnn"), "--out", str(tmp_path / "o"),
+              "--family", "ms"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --family ms" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, written", [("ground", "stats.csv"), ("export-dot", "e1.dot")])
+@pytest.mark.parametrize("exists", [False, True], ids=["new", "existing"])
+def test_output_directory_nested_or_existing(tmp_path, command, written, exists):
+    out = tmp_path / "a" / "b"
+    if exists:
+        out.mkdir(parents=True)
+    rc = main([command, "--template", str(FAMILY / "template.lrnn"),
+               "--examples", str(FAMILY / "examples.lrnn"), "--out", str(out)])
+    assert rc == 0
+    assert (out / written).is_file()
+
+
+@pytest.mark.parametrize("raw, rc_want, message", [
+    ("1", 4, "grounding exceeded its budget of 1 "),
+    ("0", 2, "LRNN_CAPACITY must be a positive integer, got '0'"),
+], ids=["1", "0"])
+def test_capacity_env_least_value_is_1(tmp_path, capsys, monkeypatch, raw, rc_want, message):
+    monkeypatch.setenv("LRNN_CAPACITY", raw)
+    rc = main(["ground", "--template", str(FAMILY / "template.lrnn"),
+               "--examples", str(FAMILY / "examples.lrnn"), "--out", str(tmp_path / "o")])
+    assert rc == rc_want
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "xval"])
+def test_train_and_xval_default_to_train_config(tmp_path, capsys, monkeypatch, command):
+    # No training option given: every restart trains under TrainConfig()'s
+    # fields and the template's family, xval's with each fold's derived seed.
+    seen, real = [], training.train
+    monkeypatch.setattr(training, "train", lambda task, compiled=None:
+                        seen.append((task.config, task.family)) or real(task, compiled))
+    monkeypatch.setattr(cli, "train", training.train)
+    inputs = ["--template", str(EXPLOSIVES / "template.lrnn"),
+              "--examples", str(EXPLOSIVES / "examples.lrnn"),
+              "--queries", str(EXPLOSIVES / "queries.lrnn")]
+    if command == "train":
+        rc = main(["train", *inputs, "--out-params", str(tmp_path / "params.txt")])
+        want = [TrainConfig()]
+    else:
+        rc = main(["xval", *inputs, "--folds", "2", "--out", str(tmp_path / "folds.csv")])
+        want = [replace(TrainConfig(), seed=derive_seed(0, "fold", fold, "cfg", 0))
+                for fold in range(2)]
+    assert rc == 0, capsys.readouterr().err
+    assert seen == [(cfg, "ms") for cfg in want]
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -1,5 +1,6 @@
 """Package errors survive a pickle round trip, so a caller's own process
-pool (multiprocessing, concurrent.futures) hands them back intact."""
+pool (multiprocessing, concurrent.futures) hands them back intact; and the
+package exports its public names."""
 
 import pickle
 
@@ -32,3 +33,17 @@ def test_error_survives_a_pickle_round_trip(err):
         back = pickle.loads(pickle.dumps(err, protocol))
         assert type(back) is type(err)
         assert (str(back), back.args, vars(back)) == (str(err), err.args, vars(err))
+
+
+def test_parse_error_without_a_position():
+    err = errors.ParseError("LRNN_CAPACITY must be a positive integer", "environment")
+    assert (str(err), err.line, err.col) == (
+        "environment: LRNN_CAPACITY must be a positive integer", 0, 0)
+
+
+def test_star_import_gives_the_public_names():
+    names = {}
+    exec("from lrnn import *", names)
+    del names["__builtins__"]
+    assert {"ParseError", "TrainConfig", "parse_template", "train"} <= set(names)
+    assert not [name for name in names if name.startswith("_")]

@@ -34,7 +34,6 @@ def test_family_model_exact():
         _atom("mother", "bob", "alice"),
         _atom("mother", "eve", "alice"),
     }
-    assert model.universe == ("alice", "bob", "eve")
 
 
 def test_family_instances_exact():
@@ -312,7 +311,7 @@ def test_ground_joins_each_rule_clause_once(monkeypatch):
 def test_recursive_template_rejected_by_grounding():
     t = parse_template("1.0 :: p(X) :- q(X).\n1.0 :: q(X) :- p(X).", "src")
     facts = ((1.0, _atom("p", "a")),)
-    empty = grounding.Grounding(grounding.HerbrandModel({}, ()), (), ())
+    empty = grounding.Grounding(grounding.HerbrandModel({}), (), ())
     # Twice each: a failed stratum order is not cached.
     for fn in (ground, least_herbrand_model, ground, lambda t, _: build(empty, t)):
         with pytest.raises(RecursiveTemplateError) as exc:
@@ -396,6 +395,15 @@ def test_capacity_error():
         least_herbrand_model(t, capacity=3)
     assert exc.value.cap == 3
     assert exc.value.count > 3
+
+
+def test_example_facts_alone_fill_the_budget_exactly():
+    t = parse_template("1.0 :: q :- r.\n", "src")
+    facts = ((1.0, _atom("p", "a")), (1.0, _atom("p", "b")))
+    assert len(ground(t, facts, capacity=2).model.atoms) == 2
+    with pytest.raises(CapacityError) as exc:
+        ground(t, facts, capacity=1)
+    assert (exc.value.count, exc.value.cap) == (2, 1)
 
 
 def test_capacity_generous_enough_passes():

@@ -185,6 +185,9 @@ PARSE_ERRORS = [
     (parse_queries, "#example q1\n1.0 :: p(½).", "2:10: unexpected character '½'"),
     (parse_queries, "#example q1\n1.0 :: p(a)", "2:12: expected '.'"),
     (parse_queries, "#example q1\n2 :: p(a).", "2:1: query target 2.0 for p(a) is outside [0, 1]"),
+    # A text that starts with a line break: the break at offset 0 counts.
+    (parse_template, "\n1.0 :: p(a)", "2:12: expected '.'"),
+    (parse_template, "\n\n1.0 :: p(", "3:10: expected a constant or variable"),
 ]
 
 

@@ -1,5 +1,6 @@
 """Cost functions, reverse-mode gradients, SGD, restarts, prediction."""
 
+import dataclasses
 import errno
 import json
 import math
@@ -19,6 +20,7 @@ from lrnn import network, training
 from lrnn.cli import main
 from lrnn.errors import CapacityError, ParseError, RecursiveTemplateError
 from lrnn.fixtures import fixture_dir, fixture_names
+from lrnn.grounding import DEFAULT_CAPACITY
 from lrnn.logic import Example, QueryRow
 from lrnn.training import COST_KINDS
 
@@ -323,6 +325,50 @@ def test_divergence_detected_on_poisoned_parameters():
     with pytest.raises(DivergenceError) as exc:
         sgd_epoch(compiled, params, compiled.learnable(), random.Random(0))
     assert exc.value.pid
+    assert exc.value.epoch == 0  # sgd_epoch's default epoch
+
+
+def test_train_config_defaults():
+    # `lrnn train` and `lrnn xval` take their defaults from these fields.
+    assert dataclasses.asdict(TrainConfig()) == {
+        "learning_rate": 0.5, "epochs": 100, "restarts": 3, "seed": 0, "init_range": (-1.0, 1.0),
+        "cost_kind": "squared_sigmoid", "train_offsets": True}
+    assert DEFAULT_CAPACITY == 10**7  # the budget the README states
+
+
+def test_process_count_is_this_process_affinity(monkeypatch):
+    asked = []
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: asked.append(pid) or {0, 2, 5},
+                        raising=False)
+    assert (training._process_count(), asked) == (3, [0])
+
+
+def test_process_count_without_sched_getaffinity_is_the_cpu_count(monkeypatch):
+    # As on macOS; and 1 when even the CPU count is unknown.
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert training._process_count() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert training._process_count() == 1
+
+
+def test_final_cost_reason_reads_the_last_epoch(monkeypatch):
+    task = _tiny_task(restarts=2, epochs=3)
+    drawn = _restart_stores(monkeypatch, task, 0)
+    real_epoch = training.sgd_epoch
+
+    def nan_last_epoch_of_restart_0(compiled, params, learnable, rng, epoch):
+        final = real_epoch(compiled, params, learnable, rng, epoch)
+        return math.nan if epoch == 2 and any(params is p for p in drawn) else final
+
+    monkeypatch.setattr(training, "sgd_epoch", nan_last_epoch_of_restart_0)
+    _pin_processes(monkeypatch, 1)
+    _params, report = train(task)
+    assert report.skipped == [(0, "final cost nan is not finite")]
+    assert all(math.isfinite(c) for r, e, c in report.curves if (r, e) != (0, 2))
+    assert report.best_restart == 1
 
 
 def test_all_restarts_failed(monkeypatch):
@@ -508,6 +554,7 @@ def test_predict_fact_passthrough():
 
 
 def test_zero_one_error_threshold():
+    assert zero_one_error([]) == 0.0
     assert zero_one_error([(0.6, 1.0), (0.4, 0.0)]) == 0.0
     assert zero_one_error([(0.6, 0.0), (0.4, 1.0)]) == 1.0
     assert zero_one_error([(0.5, 0.5)]) == 1.0  # 0.5 scores as negative
