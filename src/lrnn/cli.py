@@ -190,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="lrnn", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    cfg = TrainConfig()  # the training defaults, written once there
+    cfg, shown = TrainConfig(), " (default: %(default)s)"  # each training default, written once
 
     def add_common(p, family=True, queries=None, training=False):
         """Options shared by subcommands; `queries` is the query file's help."""
@@ -202,9 +202,12 @@ def build_parser() -> argparse.ArgumentParser:
         if queries:
             p.add_argument("--queries", required=True, help=queries)
         if training:
-            p.add_argument("--epochs", type=int, default=cfg.epochs)
-            p.add_argument("--seed", type=int, default=cfg.seed)
-            p.add_argument("--cost", choices=COST_KINDS, default=cfg.cost_kind)
+            p.add_argument("--epochs", type=int, default=cfg.epochs,
+                           help="online passes over the examples per restart" + shown)
+            p.add_argument("--seed", type=int, default=cfg.seed,
+                           help="master seed of the restarts (and of the folds)" + shown)
+            p.add_argument("--cost", choices=COST_KINDS, default=cfg.cost_kind,
+                           help="per-query cost" + shown)
 
     p = sub.add_parser("ground", help="write instance lists and neuron stats")
     add_common(p, family=False)
@@ -213,10 +216,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit learnable parameters")
     add_common(p, queries="query file with targets", training=True)
-    p.add_argument("--lr", type=float, default=cfg.learning_rate)
-    p.add_argument("--restarts", type=int, default=cfg.restarts)
+    p.add_argument("--lr", type=float, default=cfg.learning_rate, help="SGD step size" + shown)
+    p.add_argument("--restarts", type=int, default=cfg.restarts,
+                   help="random restarts; the lowest final cost wins" + shown)
     p.add_argument("--init-range", type=float, nargs=2, default=cfg.init_range,
-                   metavar=("LO", "HI"))
+                   metavar=("LO", "HI"), help="range of the uniform initial weights" + shown)
     p.add_argument("--freeze-offsets", action="store_true",
                    help="keep conjunction/disjunction offsets at their initial values")
     p.add_argument("--out-params", required=True, help="parameter file to write")
@@ -231,11 +235,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("xval", help="k-fold cross-validation")
     add_common(p, queries="query file with targets", training=True)
-    p.add_argument("--folds", type=int, required=True)
+    p.add_argument("--folds", type=int, required=True, help="number of folds (k)")
     p.add_argument("--lr-grid", type=_comma_floats, default=[cfg.learning_rate],
-                   help=f"comma-separated learning rates (default {cfg.learning_rate})")
+                   help=f"comma-separated learning rates (default: {cfg.learning_rate})")
     p.add_argument("--restarts-grid", type=_comma_ints, default=[cfg.restarts],
-                   help=f"comma-separated restart counts (default {cfg.restarts})")
+                   help=f"comma-separated restart counts (default: {cfg.restarts})")
     p.add_argument("--out", required=True, help="per-fold error CSV to write")
     p.set_defaults(fn=cmd_xval)
 

@@ -44,21 +44,22 @@ Three passes read the format:
               for the one network.  It keeps nothing from `forward` but
               the values, takes each neuron's local slope from its value,
               recomputes the inputs only to find the winner of a min or
-              max (which alone receives the adjoint), and sums a shared
-              parameter's gradient over all of its edges
+              max of several (which alone receives the adjoint), and
+              sums a shared parameter's gradient over all of its edges
     merge     hash-conses networks into one: neurons of the same kind,
               with the same merged inputs in order, the same offset and,
-              for an atom, the same weights compute the same value,
-              so one is kept (all facts become one neuron) and `forward`
-              over the merged network gives every original value
+              for an atom, the same weights are one neuron (all facts
+              become one), and a one-input aggregation is its input, so
+              `forward` over the merge gives every original value
 
 A training task merges its queried examples' networks once; from then
 on its scores come from one `forward` over the merge.  The online step
 runs `forward` over one example's merged ids (sorted, since `merge`
-numbers an input before its consumers) into the epoch's one buffer,
-expands the values through the example's index and runs `backward` on
-the example's own network with them, in the cone order the task read
-off its merge: one liveness pass per merged neuron for all examples.
+numbers an input before its consumers) into the epoch's one buffer, so
+it skips the one-input aggregations, expands the values through the
+example's index and runs `backward` on the example's own network with
+them, in the cone order the task read off its merge: one liveness pass
+per merged neuron for all examples.
 """
 
 from dataclasses import dataclass
@@ -238,11 +239,13 @@ def backward(net: GroundNetwork, vm: ValueMap, query_grads: dict, params,
         inputs, weights, offset = neuron.inputs, neuron.weights, neuron.offset_pid
         slope = sum_slope if kind == ATOM and offset is None else slopes[kind]
         if slope is None:  # a min or max: the adjoint goes to the winner alone
-            terms = ([(pv[w] if type(w) is str else w) * values[s]
-                      for s, w in zip(inputs, weights)] if kind == ATOM
-                     else [values[s] for s in inputs])
-            i = winner(terms, values[nid])
-            inputs, weights, offset = inputs[i:i + 1], weights[i:i + 1], None
+            if len(inputs) > 1:  # one input wins alone, NaN or not
+                terms = ([(pv[w] if type(w) is str else w) * values[s]
+                          for s, w in zip(inputs, weights)] if kind == ATOM
+                         else [values[s] for s in inputs])
+                i = winner(terms, values[nid])
+                inputs, weights = inputs[i:i + 1], weights[i:i + 1]
+            offset = None
         else:
             slope = slope(len(inputs), values[nid])
             if slope == 0.0:
@@ -264,18 +267,19 @@ def backward(net: GroundNetwork, vm: ValueMap, query_grads: dict, params,
 
 
 def merge(nets) -> tuple:
-    """(merged network, per net the merged id of each of its neurons).
+    """(merged network, per net the merged id of each of its neurons);
+    a one-input aggregation's merged id is its input's.
 
     Fixed weights are keyed as floats, and 0.0 == -0.0 with equal
-    hashes, so a merge can flip the sign of a zero value; no activation
-    or cost tells the two apart.
+    hashes, and the mean of one -0.0 is 0.0, so a merge can flip the
+    sign of a zero value; no activation or cost tells the two apart.
     """
     table, neurons, index = {}, [], []
     for net in nets:
         ids = []  # this net's neuron id -> merged id
         for n in net.neurons:
             key = (n.kind, tuple([ids[s] for s in n.inputs]), n.weights, n.offset_pid)
-            nid = table.get(key)
+            nid = key[1][0] if n.kind == AGG and len(key[1]) == 1 else table.get(key)
             if nid is None:
                 nid = table[key] = len(neurons)
                 neurons.append(Neuron(*key))

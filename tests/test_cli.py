@@ -949,6 +949,28 @@ def test_train_and_xval_default_to_train_config(tmp_path, capsys, monkeypatch, c
     assert seen == [(cfg, "ms") for cfg in want]
 
 
+@pytest.mark.parametrize("command", ["train", "xval"])
+def test_help_shows_the_train_config_defaults(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "200")  # no help text wraps
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    # One block per option: its invocation, then its help, maybe on a line of its own.
+    options = capsys.readouterr().out.split("options:\n")[1]
+    blocks = {block.split()[0]: " ".join(block.split())
+              for block in re.split(r"\n(?=  -)", options)}
+    cfg = TrainConfig()
+    shown = {"--epochs": cfg.epochs, "--seed": cfg.seed, "--cost": cfg.cost_kind}
+    if command == "train":
+        shown.update({"--lr": cfg.learning_rate, "--restarts": cfg.restarts,
+                      "--init-range": cfg.init_range})
+    else:
+        shown.update({"--lr-grid": cfg.learning_rate, "--restarts-grid": cfg.restarts})
+        assert blocks["--folds"] == "--folds FOLDS number of folds (k)"
+    for option, value in shown.items():
+        assert blocks[option].endswith(f" (default: {value})"), blocks[option]
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -7,8 +7,9 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from lrnn import (Atom, CapacityError, CompiledTask, Constant, TrainingTask, ValueMap, backward,
-                  build, census, export_dot, forward, ground, parse_examples, parse_template)
+from lrnn import (Atom, CapacityError, CompiledTask, Constant, GroundNetwork, Neuron,
+                  ParameterStore, TrainingTask, ValueMap, backward, build, census, export_dot,
+                  forward, ground, parse_examples, parse_template)
 from lrnn.fixtures import fixture_names
 from lrnn.network import AGG, ATOM, FACT, RULE, _sweep_orders, merge
 
@@ -411,8 +412,12 @@ def _check_merged(nets, params, rng):
         # Every neuron's merged twin computes the same thing from the
         # twins of its inputs, so every path of the merged network maps
         # back to one of the original, and the net's sorted merged ids
-        # hold every input of their neurons.
+        # hold every input of their neurons.  A one-input aggregation
+        # computes its input's value: its twin is its input's twin.
         for n, i in zip(net.neurons, ids):
+            if n.kind == AGG and len(n.inputs) == 1:
+                assert i == ids[n.inputs[0]]
+                continue
             twin = shared.neurons[i]
             assert (twin.kind, twin.offset_pid, twin.weights) == (n.kind, n.offset_pid, n.weights)
             assert twin.inputs == tuple(ids[s] for s in n.inputs)
@@ -456,18 +461,54 @@ def test_merged_neurons_do_not_depend_on_the_merge_order():
 def test_merged_form_merges_equal_neurons_within_and_across_networks():
     # e(a) and e(b) read the one fact neuron through equal weights, so
     # everything above them merges, also with e(c) of the second
-    # network; f(a) has a weight of its own.
+    # network; f(a) has a weight of its own.  Each p atom's aggregation
+    # has one input, so it is its rule neuron.
     t = parse_template("0.5 :: p(X) :- e(X).", "src")
     facts = ((1.0, _atom("e", "a")), (1.0, _atom("e", "b")), (2.0, _atom("f", "a")))
     net, other = build(ground(t, facts), t), build(ground(t, ((1.0, _atom("e", "c")),)), t)
     shared, (index, other_index) = merge([net, other])
     assert (net.counts(), other.counts()) == ((5, 3, 2, 2), (2, 1, 1, 1))
-    assert shared.counts() == (3, 1, 1, 1)
+    assert shared.counts() == (3, 1, 1, 0)
     out = net.outputs
     assert index[out[_atom("p", "a")]] == index[out[_atom("p", "b")]] \
         == other_index[other.outputs[_atom("p", "c")]]
     assert index[out[_atom("e", "a")]] != index[out[_atom("f", "a")]]
-    assert len(set(other_index)) == 5 and index[out[_atom("f", "a")]] not in other_index
+    assert len(set(other_index)) == 4 and index[out[_atom("f", "a")]] not in other_index
+    assert other_index[3] == other_index[2]  # fact, e(c), rule, aggregation, p(c)
+
+
+def _one_input_aggregations(net):
+    return [nid for nid, n in enumerate(net.neurons) if n.kind == AGG and len(n.inputs) == 1]
+
+
+@pytest.mark.parametrize("family", ["godel", "ms", "as"])
+def test_one_input_aggregations_leave_the_merge_not_the_networks_on_fixtures(family):
+    # max([x]) and the mean of one x are x: such an aggregation's merged
+    # id is its rule neuron's, so the online `forward` never runs it.
+    # The networks, their counts and their drawings keep every one.
+    folded = 0
+    for name in fixture_names():
+        t = load_template(name, family)
+        examples = load_examples(name)
+        compiled = CompiledTask(TrainingTask(t, examples, load_queries(name), family=family))
+        shared, _rows, parts = compiled._share()
+        assert not _one_input_aggregations(shared)
+        for ex, net, part in zip(examples, compiled.nets, parts):
+            ones = _one_input_aggregations(net)
+            counts = net.counts()
+            assert counts == census(ground(t, ex.facts))
+            assert counts[3] == sum(n.kind == AGG for n in net.neurons)
+            assert export_dot(net).count("shape=trapezium") == counts[3]
+            if part is None:
+                continue
+            ids, index, _order = part
+            assert ids == sorted({index[nid] for nid in range(len(net.neurons))
+                                  if nid not in ones})
+            for nid in ones:
+                rule = net.neurons[nid].inputs[0]
+                assert index[nid] == index[rule] and shared.neurons[index[rule]].kind == RULE
+            folded += len(ones)
+    assert folded
 
 
 # ---------------------------------------------------------------------------
@@ -579,6 +620,52 @@ def test_backward_matches_full_sweep_when_a_fact_wins_a_godel_max():
         grads = _check_full_sweep(net, vm, seeds, params)
         assert list(grads) == keys
         assert grads.get("t:1", 0.9) == 0.9
+
+
+def _hand_net(n, nan=False):
+    """fact -> e_i (weight w_i) -> rule_i (offset c), for i < n -> one
+    aggregation over the n rules -> h (weight k, offset d); each w_i is
+    (i + 1) / 4, or NaN."""
+    neurons = [Neuron(FACT)]
+    neurons += [Neuron(ATOM, (0,), (f"w{i}",)) for i in range(n)]
+    neurons += [Neuron(RULE, (1 + i,), (), "c") for i in range(n)]
+    neurons += [Neuron(AGG, tuple(range(1 + n, 1 + 2 * n))),
+                Neuron(ATOM, (1 + 2 * n,), ("k",), "d")]
+    net = GroundNetwork(neurons, {_atom("h"): 2 + 2 * n})
+    values = {f"w{i}": math.nan if nan else (i + 1) / 4 for i in range(n)}
+    values.update(c=0.5, k=-1.25, d=0.25)
+    return net, ParameterStore(values, set(values))
+
+
+def test_backward_skips_the_winner_search_for_a_godel_one_input_conjunction():
+    # min([x]) with an offset: the adjoint goes to x alone, and the offset,
+    # which a min ignores, gets no gradient key; nor does the max's.
+    net, params = _hand_net(1)
+    vm = forward(net, params, "godel")
+    assert vm.values == [1.0, 0.25, 0.25, 0.25, -0.3125]
+    grads = _check_full_sweep(net, vm, {_atom("h"): 0.5}, params)
+    assert list(grads) == ["k", "w0"] and grads == {"k": 0.125, "w0": -0.625}
+
+
+@pytest.mark.parametrize("family", ["godel", "ms"])
+def test_backward_passes_a_nan_one_input_max_its_adjoint(family):
+    # The winner of one input is that input, NaN or not.
+    net, params = _hand_net(1, nan=True)
+    vm = forward(net, params, family)
+    assert all(math.isnan(v) for v in vm.values[1:])
+    grads = _check_full_sweep(net, vm, {_atom("h"): 0.5}, params)
+    # k's gradient reads the NaN; under godel w0's does not.
+    assert math.isnan(grads["k"]) and "w0" in grads
+
+
+@pytest.mark.parametrize("family", ["godel", "ms"])
+def test_backward_gives_a_two_input_max_to_its_winner_alone(family):
+    # The second rule wins the aggregation's max: w1 gets a gradient, w0 none.
+    net, params = _hand_net(2)
+    vm = forward(net, params, family)
+    assert vm.values[3] < vm.values[4] == vm.values[5]
+    grads = _check_full_sweep(net, vm, {_atom("h"): 0.5}, params)
+    assert "w1" in grads and "w0" not in grads
 
 
 _INF_MINUS_INF = ("? :: q :- e(X), f(X).\n",

@@ -720,7 +720,12 @@ def test_signed_zero_fact_weights_cost_the_same(family):
             assert got == want, kind
             assert compiled.scores(template.params) == CompiledTask(compiled.task).scores(
                 template.params)
-        assert len(compiled._shared[0].neurons) == len(compiled.nets[0].neurons)
+        # Every neuron is merged apart but the one-input aggregations,
+        # which are their inputs.
+        net = compiled.nets[0]
+        folded = sum(n.kind == network.AGG and len(n.inputs) == 1 for n in net.neurons)
+        assert folded == net.counts()[3] == 2
+        assert len(compiled._shared[0].neurons) == len(net.neurons) - folded
 
 
 # ---------------------------------------------------------------------------
