@@ -12,19 +12,29 @@ relations that are already complete.  Every match adds its head row to
 the model and is one rule instance active in the least model; `ground`
 keeps them.
 
-Joins are indexed.  Each body atom has key positions: the arguments
-that are a constant or a variable bound by an earlier body atom of the
-same rule.  A body atom with key positions is matched by one lookup in
-a hash index of its relation on those positions; a body atom without
-any (such as a first body atom that holds no constant) scans its
-relation.  An index is built lazily, in one pass over the relation, and
-cached under (signature, key positions).  One cache serves the whole
-pass: a relation is read only once it is complete, so no index goes
-stale.  Each bucket keeps the relation's iteration order, so a lookup
-yields the same rows in the same order as the scan it replaces.
+Joins run on compiled rules (`logic._Rule`).  A substitution is a
+tuple of constant names with one slot per variable, in the order the
+join binds it; each join step extends it by the values of the variables
+its body atom binds first, and carries along the body's Atoms matched so
+far, in step order.  Steps follow the written body order, so `ground`
+takes each instance's body from its match as it is.  Each body atom has key positions: the
+arguments that are a constant or a variable bound by an earlier body
+atom of the same rule.  An atom whose arguments are all key positions
+(or that has none at all, 0-ary) binds nothing new and is one lookup in
+its relation.  Any other atom with key positions is matched by one
+lookup in a hash index of its relation on those positions; an atom
+without any (such as a first body atom that holds no constant) scans its
+relation.  An index holds (row, Atom) pairs, is built lazily, in one
+pass over the relation, and is cached under (signature, key positions).
+One cache serves the whole pass: a relation is read only once it is
+complete, so no index goes stale.  Each bucket keeps the relation's
+iteration order, so a lookup yields the same rows in the same order as
+the scan it replaces.  A rule's matches are sorted by their values in
+sorted-variable order, which is the order of their thetas.
 
 Variables occurring only in a clause head (including facts written with
-variables) range over the full constant universe of template + example.
+variables) range over the full constant universe of template + example;
+they take a substitution's last slots, in sorted-name order.
 
 Each relation maps its rows (argument names) to their `Atom`s, and
 each ground atom is one object, built once.  Example facts seed the
@@ -47,7 +57,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CapacityError
-from .logic import Atom, Constant, Template, _compile_pattern, _Rule
+from .logic import Atom, Constant, Template, _Rule, _slot_pattern
 
 DEFAULT_CAPACITY = 10**7
 
@@ -88,86 +98,82 @@ class Grounding:
     ground_facts: tuple  # (Atom, pid or fixed weight), template facts then example facts
 
 
-def _bind(free, row, subst) -> dict | None:
-    """Copy subst and bind the free (position, variable) slots to row,
-    or None when a variable repeated among them meets two values."""
-    out = dict(subst)
-    for i, name in free:
-        value = row[i]
-        if out.setdefault(name, value) != value:
+def _bind(free, row, subst) -> tuple | None:
+    """subst extended by row's values at free's new-variable positions, or
+    None when a variable repeated in the atom meets two values there."""
+    new, repeats = free
+    for i, j in repeats:
+        if row[i] != row[j]:
             return None
-    return out
+    return subst + tuple([row[i] for i in new])
 
 
 def _instantiate(pattern: tuple, subst) -> tuple:
-    """Argument names of a compiled pattern under a substitution."""
-    return tuple([name if kind == "c" else subst[name] for kind, name in pattern])
+    """Argument names of a slot pattern under a substitution."""
+    return tuple([subst[p] if p.__class__ is int else p for p in pattern])
 
 
 def _fact_rows(clause, universe):
     """Argument tuples of a fact clause, its variables ranging over the universe."""
-    pattern = _compile_pattern(clause.head)
-    vars_ = sorted({name for kind, name in pattern if kind == "v"})
-    for combo in itertools.product(universe, repeat=len(vars_)):
-        yield _instantiate(pattern, dict(zip(vars_, combo)))
+    names = sorted({v.name for v in clause.head.variables()})
+    pattern = _slot_pattern(clause.head, {name: i for i, name in enumerate(names)})
+    for combo in itertools.product(universe, repeat=len(names)):
+        yield _instantiate(pattern, combo)
 
 
 def _index(indexes: dict, sig, key_pos: tuple, source) -> dict:
-    """Rows of source bucketed by their values at key_pos, cached."""
+    """(row, Atom) pairs of source bucketed by the row's values at key_pos, cached."""
     index = indexes.get((sig, key_pos))
     if index is None:
         index = indexes[sig, key_pos] = {}
-        for row in source:
-            index.setdefault(tuple([row[i] for i in key_pos]), []).append(row)
+        for pair in source.items():
+            row = pair[0]
+            index.setdefault(tuple([row[i] for i in key_pos]), []).append(pair)
     return index
 
 
 def _join(rule: _Rule, relations, indexes: dict, capacity: int):
-    """Yield every substitution satisfying the body.  indexes is the
-    cache of relation indexes, valid while the body relations stay
-    unchanged.  CapacityError once a step before the last body atom holds
-    more than capacity substitutions; the last step's are yielded one at
-    a time as matches, which `ground` charges, so a budget stops it early."""
-    substs = [{}]
+    """Yield (substitution, body Atoms) for every match of the body.
+    indexes is the cache of relation indexes, valid while the body
+    relations stay unchanged.  CapacityError once a step before the last
+    body atom holds more than capacity substitutions; the last step's are
+    yielded one at a time as matches, which `ground` charges, so a budget
+    stops it early."""
+    partial = [((), ())]  # (substitution, body Atoms so far)
     last = len(rule.body) - 1
     for step, (sig, key_pos, key_pat, free) in enumerate(rule.body):
-        source = relations.get(sig, ())
+        source = relations.get(sig)
         if not source:
             return
-        index = _index(indexes, sig, key_pos, source) if key_pos else None
+        # An atom that binds no new variable is looked up in the relation
+        # itself; any other in an index on its key positions, or it scans
+        # the relation when it has none.
+        index = _index(indexes, sig, key_pos, source) if key_pos and free else None
         extended = []
-        for subst in substs:
-            if index is None:
-                rows = source
+        for subst, atoms in partial:
+            if free is None:
+                key = _instantiate(key_pat, subst)
+                atom = source.get(key)
+                pairs = () if atom is None else ((key, atom),)
+            elif index is None:
+                pairs = source.items()
             else:
-                rows = index.get(tuple([subst[name] if kind == "v" else name
-                                        for kind, name in key_pat]), ())
-            for row in rows:
-                got = _bind(free, row, subst)
+                pairs = index.get(_instantiate(key_pat, subst), ())
+            for row, atom in pairs:
+                got = subst if free is None else _bind(free, row, subst)
                 if got is None:
                     continue
                 if step == last:
-                    yield got
+                    yield got, atoms + (atom,)
                 else:
-                    extended.append(got)
+                    extended.append((got, atoms + (atom,)))
             # One substitution adds at most one relation's rows, which
             # the model's budget already bounds.
             if len(extended) > capacity:
                 raise CapacityError(len(extended), capacity, "substitutions in one join step")
         if not extended:
             return
-        substs = extended
-
-
-def _head_expansions(rule: _Rule, subst, universe):
-    """Complete body substitutions with head-only variables over the universe."""
-    if not rule.head_only:
-        yield subst
-        return
-    for combo in itertools.product(universe, repeat=len(rule.head_only)):
-        full = dict(subst)
-        full.update(zip(rule.head_only, combo))
-        yield full
+        partial = extended
 
 
 def _evaluate(template: Template, example_facts, capacity: int, on_match=None) -> tuple:
@@ -180,9 +186,10 @@ def _evaluate(template: Template, example_facts, capacity: int, on_match=None) -
     fact clause's atoms, in template order, with its clause id, then
     each example fact's atom with its weight.  When on_match is given,
     every match counts as well and is handed over as on_match(rule,
-    substitution, head Atom) once its head row is in.  Matches of one
-    rule are distinct substitutions: they bind distinct rows of the
-    relations, then each distinct head-only variable to a constant.
+    substitution, body Atoms, head Atom) once its head row is in.
+    Matches of one rule are distinct substitutions: they bind distinct
+    rows of the relations, then each distinct head-only variable to a
+    constant.
     """
     plan = template._plan
     universe = tuple(sorted(plan.constants.union(
@@ -219,12 +226,14 @@ def _evaluate(template: Template, example_facts, capacity: int, on_match=None) -
     # Bodies before heads: all rules with head p run before any rule reads p.
     for rule in plan.schedule:
         head, pred = relations.setdefault(rule.head_sig, {}), rule.head_sig[0]
-        for subst in _join(rule, relations, indexes, capacity):
-            for full in _head_expansions(rule, subst, universe):
+        head_only = len(rule.head_only)
+        for subst, body in _join(rule, relations, indexes, capacity):
+            for tail in itertools.product(universe, repeat=head_only) if head_only else ((),):
+                full = subst + tail
                 atom = add(head, pred, _instantiate(rule.head_pat, full))
                 if on_match is not None:
                     charge()
-                    on_match(rule, full, atom)
+                    on_match(rule, full, body, atom)
     return HerbrandModel(relations), facts
 
 
@@ -240,16 +249,15 @@ def ground(template: Template, example_facts=(), capacity: int = DEFAULT_CAPACIT
     theta), ordered by (clause ordinal, theta); facts come template-first
     in clause order, then example facts in input order.
     """
-    matches = {}  # rule -> [(theta, substitution, head Atom)]
+    matches = {}  # rule -> [(values in theta order, body Atoms, head Atom)]
 
-    def keep(rule, full, head):
-        matches.setdefault(rule, []).append((tuple(sorted(full.items())), full, head))
+    def keep(rule, full, body, head):
+        matches.setdefault(rule, []).append((tuple([full[i] for i in rule.order]), body, head))
 
     model, facts = _evaluate(template, example_facts, capacity, keep)
-    relations, instances = model.relations, []
+    instances = []
     for rule in template._plan.rules.values():
-        for theta, full, head in sorted(matches.get(rule, ()), key=lambda match: match[0]):
-            body = tuple([relations[sig][_instantiate(pattern, full)]
-                          for sig, pattern in rule.body_pats])
-            instances.append(GroundRuleInstance(rule.clause_id, theta, head, body))
+        for values, body, head in sorted(matches.get(rule, ()), key=lambda match: match[0]):
+            instances.append(GroundRuleInstance(rule.clause_id, tuple(zip(rule.names, values)),
+                                                head, body))
     return Grounding(model, tuple(instances), tuple(facts))

@@ -230,31 +230,52 @@ def _offset_pids(clauses) -> dict:
     return pids
 
 
-def _compile_pattern(atom: Atom) -> tuple:
-    # ('c', name) fixed argument, ('v', name) variable slot.
-    return tuple(("c", t.name) if isinstance(t, Constant) else ("v", t.name) for t in atom.args)
+def _slot_pattern(atom: Atom, slot: dict) -> tuple:
+    """The atom's arguments as the slot number of each variable and the
+    name of each constant."""
+    return tuple(slot[t.name] if isinstance(t, Variable) else t.name for t in atom.args)
 
 
 class _Rule:
-    __slots__ = ("clause_id", "head_sig", "head_pat", "body_pats", "body", "head_only",
+    """A rule clause compiled once for `grounding._join`.  A substitution
+    is a tuple of constant names, one slot per variable in the order the
+    join binds it; head-only variables take the last slots, in sorted-name
+    order.  A pattern holds a variable's slot and a constant's name.
+    `body` holds per body atom, in written order, (signature, key
+    positions, key pattern, free).  Key positions hold a constant or a
+    variable an earlier body atom binds, and the key pattern reads them.
+    free is None when the atom binds no new variable, else (the positions
+    of its new variables in slot order, the (position, earlier position)
+    pairs of a new variable repeated in the atom).  `names` are the
+    clause's variables sorted and `order` their slots, so a theta pairs
+    each name with the substitution's value at its slot."""
+
+    __slots__ = ("clause_id", "head_sig", "head_pat", "body", "head_only", "names", "order",
                  "conj", "disj")
 
     def __init__(self, clause, conj: str, disj: str):
         self.clause_id = clause.clause_id
         self.head_sig = clause.head.signature
-        self.head_pat = _compile_pattern(clause.head)
-        self.body_pats = tuple((b.signature, _compile_pattern(b)) for b in clause.body)
-        # Per body atom: (signature, key positions, key pattern, free
-        # (position, variable) slots).  Constants are always key positions.
-        self.body = []
-        bound = set()
-        for b, (_, pattern) in zip(clause.body, self.body_pats):
-            key_pos = tuple(i for i, (kind, name) in enumerate(pattern)
-                            if kind == "c" or name in bound)
-            free = tuple((i, name) for i, (_, name) in enumerate(pattern) if i not in key_pos)
-            self.body.append((b.signature, key_pos, tuple(pattern[i] for i in key_pos), free))
-            bound.update(name for _, name in free)
+        self.body, slot = [], {}
+        for b in clause.body:
+            bound, key_pos, new, repeats = len(slot), [], [], []
+            for i, t in enumerate(b.args):
+                if isinstance(t, Constant) or slot.get(t.name, bound) < bound:  # bound before
+                    key_pos.append(i)
+                elif t.name in slot:
+                    repeats.append((i, new[slot[t.name] - bound]))
+                else:
+                    slot[t.name] = len(slot)
+                    new.append(i)
+            pattern = _slot_pattern(b, slot)
+            self.body.append((b.signature, tuple(key_pos), tuple(pattern[i] for i in key_pos),
+                              (tuple(new), tuple(repeats)) if new else None))
         self.head_only = sorted(v.name for v in clause.head_only_variables())
+        for name in self.head_only:
+            slot[name] = len(slot)
+        self.head_pat = _slot_pattern(clause.head, slot)
+        self.names = tuple(sorted(slot))
+        self.order = tuple(slot[name] for name in self.names)
         self.conj, self.disj = conj, disj
 
 

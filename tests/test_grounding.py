@@ -145,13 +145,36 @@ def test_empty_template_model_is_the_example():
     assert model.atoms == {_atom("p", "a")}
 
 
+def _check_instances_in_order(template, facts):
+    """Instances come in (clause position, theta) order and are exactly
+    the oracle's; each body is the relations' own atoms in written order;
+    the model pass alone makes the same relations, rows in the same order."""
+    g = ground(template, facts)
+    ordinal = {c.clause_id: i for i, c in enumerate(template.clauses)}
+    want = sorted(naive_instances(template, facts, g.model.atoms),
+                  key=lambda key: (ordinal[key[0]], key[1]))
+    assert [(i.clause_id, i.theta) for i in g.instances] == want
+    clauses, relations = {c.clause_id: c for c in template.clauses}, g.model.relations
+    for inst in g.instances:
+        theta = {Variable(v): Constant(c) for v, c in inst.theta}
+        for atom, written in zip(inst.body, clauses[inst.clause_id].body, strict=True):
+            assert atom is relations[atom.signature][tuple(t.name for t in atom.args)]
+            assert atom == apply(theta, written)
+    model = least_herbrand_model(template, facts)
+    rows = lambda relations: [(sig, list(table.items())) for sig, table in relations.items()]
+    assert rows(model.relations) == rows(relations)
+
+
 def test_instances_sorted_by_clause_then_theta():
     for seed in range(10):
-        template, facts = random_nonrecursive_program(random.Random(seed))
-        g = ground(template, facts)
-        ordinal = {c.clause_id: i for i, c in enumerate(template.clauses)}
-        keys = [(ordinal[i.clause_id], i.theta) for i in g.instances]
-        assert keys == sorted(keys)
+        _check_instances_in_order(*random_nonrecursive_program(random.Random(seed)))
+
+
+def test_instances_in_order_on_fixtures():
+    for name in fixture_names():
+        t = load_template(name)
+        for ex in load_examples(name):
+            _check_instances_in_order(t, ex.facts)
 
 
 # ---------------------------------------------------------------------------
@@ -191,11 +214,8 @@ def test_instances_match_naive_enumeration():
 def test_grounding_matches_oracles_on_drawn_programs(rng):
     # The program is drawn from Hypothesis's random, so a failing one shrinks.
     template, facts = random_nonrecursive_program(rng)
-    g = ground(template, facts)
-    assert g.model.atoms == naive_model(template, facts)
-    got = [(i.clause_id, i.theta) for i in g.instances]
-    assert len(got) == len(set(got))
-    assert set(got) == naive_instances(template, facts, g.model.atoms)
+    assert ground(template, facts).model.atoms == naive_model(template, facts)
+    _check_instances_in_order(template, facts)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +295,11 @@ SHAPES = {
                             "1.0 :: q(X) :- m(X).\n1.0 :: both(X,Y) :- e(X,Y), q(X), q(Y).",
     "zero_ary_body_atom": "1.0 :: q(X) :- flag, n(X).\n1.0 :: r(X) :- n(X), flag.\n"
                           "1.0 :: z :- flag.\n1.0 :: w(X) :- z, q(X), e(X,X).",
+    "constant_atom_mid_body": "1.0 :: q(X) :- n(X), e(a,b), e(X,X).\n"
+                              "1.0 :: r(X,Y) :- e(X,Y), flag, e(c,d), n(Y).",
+    "repeated_variable_in_bound_atom": "1.0 :: q(X) :- n(X), e(X,X).\n"
+                                       "1.0 :: r(X,Y) :- e(X,Y), f(X,Y,Y), e(Y,Y).",
+    "fully_bound_last_atom": "1.0 :: pair(X,Y) :- n(X), n(Y), e(X,Y).",
 }
 
 
@@ -289,6 +314,25 @@ def test_join_shapes_match_oracle(shape):
     assert set(got) == naive_instances(template, example.facts, g.model.atoms)
     for clause in [c for c in template.clauses if not c.is_fact]:
         assert any(cid == clause.clause_id for cid, _ in got), clause
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_join_shapes_stop_at_the_first_charge_past_the_budget(shape):
+    # Every budget from the example facts' count up to one short of what
+    # the pass needs fails at its first charge past it: no join step
+    # before a last body atom holds that many substitutions here.
+    template = parse_template(SHAPES[shape], shape)
+    (example,) = parse_examples(_GRAPH)
+    g = ground(template, example.facts)
+    given = len({atom for _, atom in example.facts})
+    for run, needed in ((ground, len(g.model.atoms) + len(g.instances)),
+                        (least_herbrand_model, len(g.model.atoms))):
+        for capacity in range(given, needed):
+            with pytest.raises(CapacityError) as exc:
+                run(template, example.facts, capacity=capacity)
+            assert (exc.value.cap, exc.value.count) == (capacity, capacity + 1)
+            assert "model atoms plus rule instances" in str(exc.value)
+        run(template, example.facts, capacity=needed)
 
 
 def test_ground_joins_each_rule_clause_once(monkeypatch):
