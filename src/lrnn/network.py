@@ -56,10 +56,12 @@ A training task merges its queried examples' networks once; from then
 on its scores come from one `forward` over the merge.  The online step
 runs `forward` over one example's merged ids (sorted, since `merge`
 numbers an input before its consumers) into the epoch's one buffer, so
-it skips the one-input aggregations, expands the values through the
-example's index and runs `backward` on the example's own network with
-them, in the cone order the task read off its merge: one liveness pass
-per merged neuron for all examples.
+it skips the one-input aggregations and the merged fact neuron, whose
+slot holds 1.0 throughout.  It reads each query's score off its merged
+id and runs `backward` on the example's own network, in the cone order
+the task read off its merge (one liveness pass per merged neuron for
+all examples), with a `ValueMap` of that buffer and the example's
+index: each neuron's value is read in place, in its merged twin's slot.
 """
 
 from dataclasses import dataclass
@@ -163,21 +165,28 @@ def build(grounding: Grounding, template: Template, example_id: str | None = Non
 
 @dataclass
 class ValueMap:
-    """Per-neuron outputs of one forward pass and the family that made them."""
+    """Per-neuron outputs of one forward pass and the family that made
+    them.  `index`, when given, maps a neuron id to its value's slot in
+    `values` (the online step's: a slot of the task's merge); None means
+    the id itself."""
 
     values: list
     family: str
+    index: list | None = None
 
     def output(self, net: GroundNetwork, atom: Atom) -> tuple:
         """(value, missing): missing queries evaluate to 0.0."""
         nid = net.outputs.get(atom)
-        return (0.0, True) if nid is None else (self.values[nid], False)
+        if nid is None:
+            return (0.0, True)
+        return (self.values[nid if self.index is None else self.index[nid]], False)
 
 
 def forward(net: GroundNetwork, params, family: str, ids=None, values=None) -> ValueMap:
     """Every neuron's value, or only those of `ids` (inputs first, closed
-    under inputs).  `values`, when given, is the buffer written: 1.0 in
-    each fact's slot, and only the slots of `ids` are written or read."""
+    under inputs, facts aside).  `values`, when given, is the buffer
+    written: 1.0 in each fact's slot, which is never written, and only
+    the slots of `ids` and of facts are read."""
     ops = operations(family)
     conj, agg = ops[CONJUNCTION][0], ops[AGGREGATION][0]
     disj, total = ops[DISJUNCTION][0], ops[WEIGHTED_SUM][0]
@@ -215,7 +224,8 @@ def _sweep_orders(neurons, indexes) -> list:
 def backward(net: GroundNetwork, vm: ValueMap, query_grads: dict, params,
              order: list | None = None) -> dict:
     """Reverse sweep over `order`, the network's cone order (worked out
-    here when not given); returns parameter id -> accumulated gradient.
+    here when not given), reading each neuron's value through
+    `vm.index`; returns parameter id -> accumulated gradient.
 
     query_grads maps ground atoms to d cost / d score seeds; atoms absent
     from the network contribute nothing (their score is a constant 0).
@@ -223,6 +233,7 @@ def backward(net: GroundNetwork, vm: ValueMap, query_grads: dict, params,
     ops = operations(vm.family)
     slopes = {ATOM: ops[DISJUNCTION][1], RULE: ops[CONJUNCTION][1], AGG: ops[AGGREGATION][1]}
     sum_slope, pv, values, neurons = ops[WEIGHTED_SUM][1], params.values, vm.values, net.neurons
+    at = range(len(neurons)) if vm.index is None else vm.index  # neuron id -> its value's slot
     adjoint = [0.0] * len(neurons)
     for atom, g in query_grads.items():
         nid = net.outputs.get(atom)
@@ -232,22 +243,22 @@ def backward(net: GroundNetwork, vm: ValueMap, query_grads: dict, params,
         order = _sweep_orders(neurons, [range(len(neurons))])[0]
     grads = {}
     for nid in order:
-        neuron = neurons[nid]
-        kind, g = neuron.kind, adjoint[nid]
+        g = adjoint[nid]
         if g == 0.0:
             continue
-        inputs, weights, offset = neuron.inputs, neuron.weights, neuron.offset_pid
+        neuron = neurons[nid]
+        kind, inputs, weights, offset = neuron.kind, neuron.inputs, neuron.weights, neuron.offset_pid
         slope = sum_slope if kind == ATOM and offset is None else slopes[kind]
         if slope is None:  # a min or max: the adjoint goes to the winner alone
             if len(inputs) > 1:  # one input wins alone, NaN or not
-                terms = ([(pv[w] if type(w) is str else w) * values[s]
+                terms = ([(pv[w] if type(w) is str else w) * values[at[s]]
                           for s, w in zip(inputs, weights)] if kind == ATOM
-                         else [values[s] for s in inputs])
-                i = winner(terms, values[nid])
+                         else [values[at[s]] for s in inputs])
+                i = winner(terms, values[at[nid]])
                 inputs, weights = inputs[i:i + 1], weights[i:i + 1]
             offset = None
         else:
-            slope = slope(len(inputs), values[nid])
+            slope = slope(len(inputs), values[at[nid]])
             if slope == 0.0:
                 continue
             g *= slope
@@ -257,7 +268,7 @@ def backward(net: GroundNetwork, vm: ValueMap, query_grads: dict, params,
         else:
             for src, w in zip(inputs, weights):
                 if type(w) is str:
-                    grads[w] = grads.get(w, 0.0) + g * values[src]
+                    grads[w] = grads.get(w, 0.0) + g * values[at[src]]
                     adjoint[src] += g * pv[w]
                 else:
                     adjoint[src] += g * w

@@ -5,12 +5,13 @@ Updates are online: after each example's queries are backpropagated,
 weights move at once by w <- w - lr * grad, written straight into the
 store's values.  The first online step (or `train`, before it forks)
 merges the queried examples' networks and keeps per example its part:
-its merged ids, the merged id of each of its neurons, and its
-network's cone order, read off the merge.  The merge depends only on
-the task's networks and queries, so one compiled task may be trained
-under several configs in turn (as `crossvalidate` does per fold).  Each
-step runs `forward` over the example's merged ids and `backward` over
-its own network, in that order.  The epoch cost sums
+its merged ids, the merged id of each of its neurons and of each
+query atom, and its network's cone order, read off the merge.  The
+merge depends only on the task's networks and queries, so one compiled
+task may be trained under several configs in turn (as `crossvalidate`
+does per fold).  Each step runs `forward` over the example's merged ids
+and `backward` over its own network, in that order, on the one buffer
+`forward` wrote.  The epoch cost sums
 `CompiledTask.scores`; with nothing learnable `train` prices the task
 once for every epoch.  Restarts redraw the learnable weights from
 Uniform(init_range) with seeds derived from the master seed, and the
@@ -41,7 +42,7 @@ from .activations import CONJUNCTION, operations, sigmoid
 from .errors import AllRestartsFailedError, DivergenceError
 from .grounding import DEFAULT_CAPACITY, ground
 from .logic import ParameterStore, QueryRow, Template
-from .network import _sweep_orders, backward, build, forward, merge
+from .network import FACT, _sweep_orders, backward, build, forward, merge
 
 SQUARED_SIGMOID = "squared_sigmoid"
 CROSS_ENTROPY = "cross_entropy"
@@ -204,17 +205,23 @@ class CompiledTask:
     def _share(self) -> tuple:
         """The queried examples' networks merged once: (network, (query,
         merged id or None) per query, per example None if unqueried, else
-        (its merged ids sorted, the merged id of each of its neurons, its
-        network's cone order for `backward`, read off the merge))."""
+        (its merged ids sorted, but the facts', the merged id of each of
+        its neurons, its network's cone order for `backward`, read off
+        the merge, and per distinct query atom the network has, in first
+        query order, (atom, (query, merged id) per query of it)))."""
         if self._shared is None:
             queried = [i for i, queries in enumerate(self.queries) if queries]
             shared, index = merge([self.nets[i] for i in queried])
+            facts = {nid for nid, n in enumerate(shared.neurons) if n.kind == FACT}
             rows, parts = [], [None] * len(self.nets)
             for i, ids, order in zip(queried, index, _sweep_orders(shared.neurons, index)):
-                parts[i] = (sorted(set(ids)), ids, order)
+                scored = {}
                 for q in self.queries[i]:
                     nid = self.nets[i].outputs.get(q.atom)
                     rows.append((q, None if nid is None else ids[nid]))
+                    if nid is not None:
+                        scored.setdefault(q.atom, []).append((q, ids[nid]))
+                parts[i] = (sorted(set(ids) - facts), ids, order, list(scored.items()))
             self._shared = (shared, rows, parts)
         return self._shared
 
@@ -242,36 +249,36 @@ def sgd_epoch(compiled: CompiledTask, params, learnable, rng, epoch: int = 0) ->
     """One online pass: per-example gradient step, then the epoch cost
     over all queries under the post-epoch parameters.  Each step runs
     `forward` over the example's merged ids in the task's merge (built
-    on the first step and kept with the task) and `backward` over the
-    example's network itself, in the cone order kept with the merge: a
-    merged twin's value differs at most in the sign of a zero, which no
-    gradient tells apart.  The steps share one buffer per epoch: a step
-    writes each slot it reads but the facts'."""
+    on the first step and kept with the task), reads each query's score
+    off its merged id, and runs `backward` over the example's network
+    itself, in the cone order kept with the merge, reading each neuron's
+    value in place through the example's index: a merged twin's value
+    differs at most in the sign of a zero, which no gradient tells
+    apart.  The steps share one buffer per epoch: a step writes each
+    slot it reads but the one fact slot, 1.0 throughout."""
     task = compiled.task
     cfg = task.config
     shared, _rows, parts = compiled._share()
     buffer = [1.0] * len(shared.neurons)
     order = list(range(len(compiled.nets)))
     rng.shuffle(order)
-    lr, pv = cfg.learning_rate, params.values
+    lr, pv, kind = cfg.learning_rate, params.values, cfg.cost_kind
     for idx in order:
-        queries = compiled.queries[idx]
-        if not queries:
+        if parts[idx] is None:  # no query
             continue
-        net, (ids, index, sweep) = compiled.nets[idx], parts[idx]
+        ids, index, sweep, scored = parts[idx]
         vm = forward(shared, params, task.family, ids, buffer)
-        vm.values = list(map(vm.values.__getitem__, index))  # each neuron's merged twin
-        query_grads = {}
-        for q in queries:
-            y, missing = vm.output(net, q.atom)
-            if missing:
-                continue
-            dy = cost(y, q.target, cfg.cost_kind)[1]
-            query_grads[q.atom] = query_grads.get(q.atom, 0.0) + dy
+        values, query_grads = vm.values, {}
+        for atom, pairs in scored:  # each score read off its merged twin's slot
+            g = 0.0
+            for q, nid in pairs:
+                g += cost(values[nid], q.target, kind)[1]
+            query_grads[atom] = g
         if not query_grads:
             continue
+        vm.index = index  # each neuron's value is its merged twin's, read in place
         # Every gradient key is an id `forward` read from the store.
-        for pid, g in backward(net, vm, query_grads, params, sweep).items():
+        for pid, g in backward(compiled.nets[idx], vm, query_grads, params, sweep).items():
             if pid in learnable:
                 value = pv[pid] - lr * g
                 if not math.isfinite(value):

@@ -225,6 +225,37 @@ def per_example_total_cost(compiled, params):
     return total
 
 
+def reference_sgd_epoch(compiled, params, learnable, rng, epoch=0):
+    """`lrnn.sgd_epoch` without the merge: the same shuffle, then per
+    queried example one `forward` over its whole own network and
+    `full_backward` seeded by its queries' cost slopes (summed per atom
+    in query order), and each learnable id of the gradient moved, in key
+    order; the epoch priced by `per_example_total_cost`."""
+    from lrnn import DivergenceError
+
+    family, cfg = compiled.task.family, compiled.task.config
+    order = list(range(len(compiled.nets)))
+    rng.shuffle(order)
+    for i in order:
+        net, queries = compiled.nets[i], compiled.queries[i]
+        if not queries:
+            continue
+        vm = forward(net, params, family)
+        seeds = {}
+        for q in queries:
+            nid = net.outputs.get(q.atom)
+            if nid is not None:
+                dy = cost(vm.values[nid], q.target, cfg.cost_kind)[1]
+                seeds[q.atom] = seeds.get(q.atom, 0.0) + dy
+        for pid, g in full_backward(net, vm, seeds, params).items():
+            if pid in learnable:
+                value = params[pid] - cfg.learning_rate * g
+                if not math.isfinite(value):
+                    raise DivergenceError(pid, epoch)
+                params[pid] = value
+    return per_example_total_cost(compiled, params)
+
+
 def random_nonrecursive_program(rng, max_preds=5, max_consts=5, max_rules=6,
                                 weighted_facts=False, learnable_rules=False):
     """A random stratified program plus example facts.
@@ -352,6 +383,7 @@ def full_backward(net, vm, query_grads, params) -> dict:
 
     query_grads maps ground atoms to d cost / d score seeds; atoms absent
     from the network contribute nothing (their score is a constant 0).
+    A neuron's value is read through `vm.index` when it has one.
     """
     from lrnn.activations import (AGGREGATION, CONJUNCTION, DISJUNCTION, WEIGHTED_SUM,
                                   operations, winner)
@@ -360,6 +392,8 @@ def full_backward(net, vm, query_grads, params) -> dict:
     ops = operations(vm.family)
     slopes = {ATOM: ops[DISJUNCTION][1], RULE: ops[CONJUNCTION][1], AGG: ops[AGGREGATION][1]}
     sum_slope, pv, values, neurons = ops[WEIGHTED_SUM][1], params.values, vm.values, net.neurons
+    if vm.index is not None:  # each neuron's value, copied out of its slot
+        values = [values[slot] for slot in vm.index]
     adjoint = [0.0] * len(neurons)
     for atom, g in query_grads.items():
         nid = net.outputs.get(atom)

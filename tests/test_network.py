@@ -501,9 +501,13 @@ def test_one_input_aggregations_leave_the_merge_not_the_networks_on_fixtures(fam
             assert export_dot(net).count("shape=trapezium") == counts[3]
             if part is None:
                 continue
-            ids, index, _order = part
+            ids, index, _order, _scored = part
+            # The merged fact neuron's slot is 1.0 in every buffer, so the
+            # online ids leave it out.
+            facts = {index[nid] for nid, n in enumerate(net.neurons) if n.kind == FACT}
             assert ids == sorted({index[nid] for nid in range(len(net.neurons))
-                                  if nid not in ones})
+                                  if nid not in ones} - facts)
+            assert not facts.intersection(ids) and len(facts) == (counts[1] > 0)
             for nid in ones:
                 rule = net.neurons[nid].inputs[0]
                 assert index[nid] == index[rule] and shared.neurons[index[rule]].kind == RULE
@@ -542,13 +546,25 @@ def test_task_reads_each_cone_order_off_its_merge_on_fixtures():
                 assert (part is None) == (not queries)
                 if part is None:
                     continue
-                ids, index, order = part
+                ids, index, order, scored = part
                 assert order == cone_order(net), (name, net.example_id)
+                assert all(shared.neurons[nid].kind != FACT for nid in ids)
+                want = {}  # each query atom the network has -> its queries, in query order
+                for q in queries:
+                    if q.atom in net.outputs:
+                        want.setdefault(q.atom, []).append(q)
+                assert [(atom, [q for q, _nid in rows]) for atom, rows in scored] == \
+                    list(want.items())
+                assert all(nid == index[net.outputs[atom]] for atom, rows in scored
+                           for _q, nid in rows)
                 values = forward(shared, params, family, ids, buffer).values
                 online = ValueMap([values[i] for i in index], family)
+                in_place = ValueMap(values, family, index)  # the online step's
                 seeds = {atom: rng.uniform(-1.0, 1.0) for atom in net.outputs}
-                for vm in (forward(net, params, family), online):
+                for vm in (forward(net, params, family), online, in_place):
                     _check_full_sweep(net, vm, seeds, params, order)
+                for q in queries:
+                    assert in_place.output(net, q.atom) == online.output(net, q.atom)
 
 
 def test_backward_matches_full_sweep_on_fixtures():

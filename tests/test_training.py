@@ -29,7 +29,7 @@ from helpers import (grad_bits, load_examples, load_queries, load_template, merg
 from molecules import make_bond_dataset, planted_label
 from oracles import (central_difference, cone_order, per_example_total_cost,
                      random_gradcheck_instance, random_nonrecursive_program, randomize_params,
-                     rel_close, unshared_merge)
+                     reference_sgd_epoch, rel_close, unshared_merge)
 
 LOG_TWO = 0.6931471805599453
 
@@ -661,9 +661,10 @@ def test_total_cost_is_per_example_sum_on_fixtures(name, family):
             assert (compiled._shared is not None) == merged
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-@given(rng=st.randoms(use_true_random=False), weighted_facts=st.booleans())
-def test_total_cost_is_per_example_sum_on_drawn_programs(family, rng, weighted_facts):
+def _drawn_task(rng, weighted_facts, cfg, family):
+    """A drawn program with learnable rules, six examples over subsets of
+    its facts and 0-3 queries each; an atom may be queried twice in one
+    example, or be absent from it."""
     template, facts = random_nonrecursive_program(rng, weighted_facts=weighted_facts,
                                                   learnable_rules=True)
     examples = [Example(f"e{i}", tuple(f for f in facts if rng.random() < 0.7))
@@ -673,13 +674,19 @@ def test_total_cost_is_per_example_sum_on_drawn_programs(family, rng, weighted_f
     assume(atoms)
     queries = [QueryRow(ex.example_id, rng.choice(atoms), round(rng.random(), 3))
                for ex in examples for _ in range(rng.randint(0, 3))]
-    task = TrainingTask(template, examples, queries, TrainConfig(), family)
+    return TrainingTask(template, examples, queries, cfg, family)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@given(rng=st.randoms(use_true_random=False), weighted_facts=st.booleans())
+def test_total_cost_is_per_example_sum_on_drawn_programs(family, rng, weighted_facts):
+    task = _drawn_task(rng, weighted_facts, TrainConfig(), family)
     compiled = CompiledTask(task)
     for merged in (False, True):  # priced per example, then over the merge
         if merged:
             compiled._share()
         for _ in range(2):
-            params = randomize_params(template, rng)
+            params = randomize_params(task.template, rng)
             got, want = _cost_bits(compiled, params)
             assert got == want
             assert compiled.scores(params) == CompiledTask(task).scores(params)
@@ -783,6 +790,42 @@ def test_signed_zero_facts_train_the_same_with_and_without_compaction(monkeypatc
                 assert _train_bits(task, monkeypatch, True) == \
                     _train_bits(task, monkeypatch, False), (family, kind)
         assert flipped  # the case does show a zero whose sign the merge flips
+
+
+def _epochs_bits(step, compiled, epochs):
+    """Epoch costs (or the divergence that stopped them) and parameter
+    bits after `epochs` epochs of `step`, from the same drawn parameters
+    and shuffle seed."""
+    params, rng, costs = compiled.initial_params(7), random.Random(5), []
+    try:
+        for epoch in range(epochs):
+            costs.append(step(compiled, params, compiled.learnable(), rng, epoch).hex())
+    except DivergenceError as err:
+        costs.append(str(err))
+    return costs, [(pid, params[pid].hex()) for pid in params]
+
+
+def _check_online_step(compiled, epochs=3):
+    """`sgd_epoch` equals the reference step bit for bit, epoch by epoch."""
+    want = _epochs_bits(reference_sgd_epoch, compiled, epochs)
+    assert _epochs_bits(sgd_epoch, compiled, epochs) == want
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("name", fixture_names())
+def test_online_step_equals_the_reference_step_on_fixtures(name, family):
+    template = load_template(name, family)
+    for kind in COST_KINDS:
+        cfg = TrainConfig(learning_rate=2.0, cost_kind=kind)
+        _check_online_step(CompiledTask(TrainingTask(template, load_examples(name),
+                                                     load_queries(name), cfg, family)))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@given(rng=st.randoms(use_true_random=False), weighted_facts=st.booleans())
+def test_online_step_equals_the_reference_step_on_drawn_programs(family, rng, weighted_facts):
+    cfg = TrainConfig(learning_rate=rng.choice([0.5, 2.0]), cost_kind=rng.choice(COST_KINDS))
+    _check_online_step(CompiledTask(_drawn_task(rng, weighted_facts, cfg, family)))
 
 
 def test_one_value_buffer_per_epoch_trains_bit_identically(monkeypatch):
